@@ -1,11 +1,14 @@
 #include "inputs.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <map>
 
 #include "mrt/table_dump.hpp"
 #include "stream/bmp_framer.hpp"
+#include "stream/decoder.hpp"
+#include "stream/framer.hpp"
 #include "util/rng.hpp"
 
 namespace perfbench {
@@ -15,13 +18,6 @@ using namespace mlp;
 namespace {
 
 constexpr std::uint32_t kDumpTime = 1367366400;  // 2013-05-01, the paper's month
-
-std::uint32_t be32(const std::vector<std::uint8_t>& b, std::size_t at) {
-  return static_cast<std::uint32_t>(b[at]) << 24 |
-         static_cast<std::uint32_t>(b[at + 1]) << 16 |
-         static_cast<std::uint32_t>(b[at + 2]) << 8 |
-         static_cast<std::uint32_t>(b[at + 3]);
-}
 
 /// Seeded Fisher-Yates shuffle of [first, last).
 template <typename It>
@@ -81,46 +77,42 @@ FeedInput make_feed(std::string name, pipeline::Transport transport,
 
 std::vector<Unit> split_units(const std::vector<std::uint8_t>& bytes,
                               pipeline::Transport transport) {
+  // A unit starts where the transport's own framer starts a record (MRT)
+  // or a session event (BMP). Messages the BMP framer steps over
+  // (Initiation, Termination) ride with the unit before them, or with the
+  // first unit.
   std::vector<Unit> units;
-  std::size_t pos = 0;
+  std::size_t buffered = 0;
   if (transport == pipeline::Transport::RawMrt) {
-    while (pos + 12 <= bytes.size()) {
-      const std::uint32_t length = 12 + be32(bytes, pos + 8);
-      units.push_back(Unit{static_cast<std::uint32_t>(pos), length,
-                           be32(bytes, pos)});
-      pos += length;
+    stream::MrtFramer framer;
+    stream::UpdateDecoder decoder;
+    framer.feed(bytes);
+    while (const auto record = framer.next()) {
+      const auto* view = decoder.decode(*record);
+      const std::uint32_t ts =
+          view != nullptr ? view->timestamp
+                          : (units.empty() ? 0 : units.back().ts);
+      units.push_back(
+          Unit{static_cast<std::uint32_t>(framer.last_record_offset()), 0, ts});
     }
+    buffered = framer.buffered();
   } else {
-    // BMP common header: version, u32 length, type. Route Monitoring (0),
-    // Peer Down (2) and Peer Up (3) carry the per-peer header, whose
-    // timestamp sits 34 bytes past the common header.
-    std::vector<std::size_t> untimed;
-    while (pos + 6 <= bytes.size()) {
-      const std::uint32_t length = be32(bytes, pos + 1);
-      const std::uint8_t type = bytes[pos + 5];
-      Unit unit{static_cast<std::uint32_t>(pos), length, 0};
-      if (type == 0 || type == 2 || type == 3)
-        unit.ts = be32(bytes, pos + 6 + 34);
-      else
-        untimed.push_back(units.size());
-      units.push_back(unit);
-      pos += length;
-    }
-    // Initiation/Termination carry no time: give them their neighbour's.
-    for (const std::size_t i : untimed) {
-      std::size_t j = i + 1;
-      while (j < units.size() && units[j].ts == 0) ++j;
-      if (j < units.size()) {
-        units[i].ts = units[j].ts;
-      } else {
-        for (j = i; j > 0 && units[j].ts == 0; --j) {
-        }
-        units[i].ts = units[j].ts;
-      }
-    }
+    stream::BmpFramer framer;
+    framer.feed(bytes);
+    while (const auto event = framer.next())
+      units.push_back(
+          Unit{static_cast<std::uint32_t>(framer.last_message_offset()), 0,
+               event->peer.timestamp});
+    buffered = framer.buffered();
   }
-  if (pos != bytes.size())
+  if (buffered != 0)
     throw std::runtime_error("split_units: trailing partial unit");
+  if (!units.empty()) units.front().offset = 0;
+  for (std::size_t k = 0; k < units.size(); ++k)
+    units[k].length =
+        (k + 1 < units.size() ? units[k + 1].offset
+                              : static_cast<std::uint32_t>(bytes.size())) -
+        units[k].offset;
   return units;
 }
 
@@ -204,65 +196,136 @@ LiveInputs make_feeds_inputs(std::uint64_t seed, std::size_t records_per_feed) {
 
 LiveInputs make_bigrs_inputs(std::uint64_t seed, std::size_t records) {
   Rng rng(0xB16B5ULL * 1000003ULL + seed);
+  const scenario::ScenarioParams params;
+  // The two largest IXPs of the paper roster (table 2's member counts),
+  // scaled four-fold to about two thousand RS members each.
+  constexpr double kScale = 4;
+  auto roster = scenario::paper_ixp_roster();
+  std::stable_sort(roster.begin(), roster.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.size_weight > b.size_weight;
+                   });
+  roster.resize(2);
+
   // Distinct 16-bit public ASNs (no reserved ones: paths holding those
-  // are dropped as dirty).
+  // are dropped as dirty). Eight collector feeders sit at both IXPs; the
+  // other members are drawn per IXP, so the two overlap by chance.
   std::vector<bgp::Asn> pool;
   for (bgp::Asn a = 1000; a < 60000; ++a)
-    if (a != 6695 && a != 8631 && a != 23456) pool.push_back(a);
+    if (a != 23456) pool.push_back(a);
   shuffle(pool.begin(), pool.end(), rng);
-  const std::size_t n_a = 4000, n_b = 3000, overlap = 1600;
-  std::vector<bgp::Asn> members_a(pool.begin(), pool.begin() + n_a);
-  std::vector<bgp::Asn> members_b(pool.begin(), pool.begin() + overlap);
-  members_b.insert(members_b.end(), pool.begin() + n_a,
-                   pool.begin() + n_a + (n_b - overlap));
-  // Collector feeders sit at both IXPs; every route reaches the collector
-  // as [feeder, setter] over one route server.
   const std::vector<bgp::Asn> feeders(pool.begin(), pool.begin() + 8);
+  pool.erase(pool.begin(), pool.begin() + 8);
 
   LiveInputs in;
-  in.ixps.push_back(core::IxpContext{
-      "BIG-A",
-      routeserver::IxpCommunityScheme::make(
-          "BIG-A", 6695, routeserver::SchemeStyle::RsAsnBased),
-      util::FlatAsnSet(members_a)});
-  in.ixps.push_back(core::IxpContext{
-      "BIG-B",
-      routeserver::IxpCommunityScheme::make(
-          "BIG-B", 8631, routeserver::SchemeStyle::PrivateRangeBased),
-      util::FlatAsnSet(members_b)});
+  std::vector<std::vector<bgp::Asn>> members(2);
+  for (std::size_t x = 0; x < 2; ++x) {
+    const auto n = static_cast<std::size_t>(roster[x].size_weight * kScale);
+    shuffle(pool.begin(), pool.end(), rng);
+    members[x].assign(pool.begin(), pool.begin() + (n - feeders.size()));
+    members[x].insert(members[x].end(), feeders.begin(), feeders.end());
+    std::sort(members[x].begin(), members[x].end());
+    in.ixps.push_back(core::IxpContext{
+        roster[x].name,
+        routeserver::IxpCommunityScheme::make(
+            roster[x].name, static_cast<bgp::Asn>(64000 + x), roster[x].style),
+        util::FlatAsnSet(members[x])});
+  }
 
+  // Every RS member but the feeders announces (as every RS member of the
+  // scenario does). Its peering policy is drawn as the scenario draws it:
+  // the section 5.2 mix (frac_open, frac_selective, rest restrictive)
+  // weighted by each policy's route-server opt-in, and the explicit ALL
+  // community with explicit_all_prob.
+  enum class Policy { Open, Selective, Restrictive };
   struct Setter {
     std::size_t ixp;
     bgp::Asn asn;
-    std::uint32_t index;  // unique prefix slot
+    Policy policy;
+    bool explicit_all;
+    std::uint32_t slot;  // unique prefix slot
   };
-  std::vector<Setter> setters[2];
-  std::uint32_t slot = 0;
-  const std::size_t active[2] = {900, 700};
-  for (std::size_t x = 0; x < 2; ++x) {
-    const auto& members = x == 0 ? members_a : members_b;
-    for (std::size_t i = 8; setters[x].size() < active[x]; ++i)
-      setters[x].push_back(Setter{x, members[i * 3 % members.size()], slot++});
-  }
+  const std::vector<double> policy_weights = {
+      params.frac_open * params.rs_optin_open,
+      params.frac_selective * params.rs_optin_selective,
+      (1 - params.frac_open - params.frac_selective) *
+          params.rs_optin_restrictive};
+  std::vector<Setter> setters;
+  for (std::size_t x = 0; x < 2; ++x)
+    for (const bgp::Asn asn : members[x]) {
+      if (std::find(feeders.begin(), feeders.end(), asn) != feeders.end())
+        continue;
+      const auto policy = static_cast<Policy>(rng.weighted_index(policy_weights));
+      const bool explicit_all = rng.chance(params.explicit_all_prob);
+      setters.push_back(Setter{x, asn, policy, explicit_all,
+                               static_cast<std::uint32_t>(setters.size())});
+    }
 
-  // Fig. 11 mix: mostly open (ALL, a few EXCLUDEs) or ALL+EXCLUDE, a
-  // NONE+INCLUDE tail, and a tail of quick withdrawals.
+  // Every announcement redraws its setter's export policy under
+  // ScenarioBuilder::draw_export_policy's rules: open members exclude each
+  // other member with probability 0.4/n; selective ones 55% of the time
+  // exclude each with probability 0.05, otherwise allow 1..max(2, n/10)
+  // members; restrictive ones allow 1..4. The scenario's extra exclusions
+  // of content peers, customers and the customer cone need a topology this
+  // feed does not have.
+  std::vector<std::vector<bgp::Asn>> scratch = members;
+  auto draw_policy = [&](const Setter& setter) {
+    auto& others = scratch[setter.ixp];
+    const std::size_t n = others.size();
+    std::vector<bgp::Asn> peers;
+    auto each_with = [&](double p) {  // Bernoulli(p) per member, by skips
+      const double log_q = std::log1p(-p);
+      for (double pos = -1;;) {
+        pos += 1 + std::floor(std::log(1 - rng.uniform01()) / log_q);
+        if (pos >= static_cast<double>(n)) break;
+        const bgp::Asn peer = others[static_cast<std::size_t>(pos)];
+        if (peer != setter.asn) peers.push_back(peer);
+      }
+      return routeserver::ExportPolicy::Mode::AllExcept;
+    };
+    auto some = [&](std::size_t lo, std::size_t hi) {  // distinct members
+      const std::size_t want = rng.uniform(lo, std::min(hi, n - 1));
+      for (std::size_t k = 0; peers.size() < want; ++k) {
+        std::swap(others[k], others[rng.uniform(k, n - 1)]);
+        if (others[k] != setter.asn) peers.push_back(others[k]);
+      }
+      return routeserver::ExportPolicy::Mode::NoneExcept;
+    };
+    routeserver::ExportPolicy::Mode mode;
+    switch (setter.policy) {
+      case Policy::Open:
+        mode = each_with(0.4 / static_cast<double>(n));
+        break;
+      case Policy::Selective:
+        mode = rng.chance(0.55)
+                   ? each_with(0.05)
+                   : some(1, std::max<std::size_t>(2, n / 10));
+        break;
+      default:
+        mode = some(1, 4);
+        break;
+    }
+    return routeserver::ExportPolicy(mode, util::FlatAsnSet(std::move(peers)))
+        .to_communities(in.ixps[setter.ixp].scheme, setter.explicit_all);
+  };
+
+  // Neither the paper nor the scenario gives a churn rate; one
+  // announcement in 20 goes to a second prefix of its setter and is
+  // withdrawn three records later.
+  constexpr double kQuickWithdrawal = 0.05;
   std::vector<mrt::ObservedUpdate> updates;
   std::multimap<std::size_t, mrt::ObservedUpdate> withdrawals;
   auto stamp = [&](std::size_t k) {
     return kDumpTime + static_cast<std::uint32_t>(k / 20);
   };
-  for (std::size_t k = 0; updates.size() < records; ++k) {
+  while (updates.size() < records) {
     if (auto it = withdrawals.find(updates.size()); it != withdrawals.end()) {
       it->second.timestamp = stamp(updates.size());
       updates.push_back(std::move(it->second));
       withdrawals.erase(it);
       continue;
     }
-    const std::size_t x = rng.uniform01() < 0.55 ? 0 : 1;
-    const Setter& setter = setters[x][rng.uniform(0, setters[x].size() - 1)];
-    const auto& members = x == 0 ? members_a : members_b;
-    const auto& scheme = in.ixps[x].scheme;
+    const Setter& setter = setters[rng.uniform(0, setters.size() - 1)];
     const bgp::Asn feeder = feeders[setter.asn % feeders.size()];
     mrt::ObservedUpdate u;
     u.timestamp = stamp(updates.size());
@@ -270,29 +333,10 @@ LiveInputs make_bigrs_inputs(std::uint64_t seed, std::size_t records) {
     u.peer_ip = 0x0A0A0000 + static_cast<std::uint32_t>(setter.asn % 8);
     u.update.attrs.as_path = bgp::AsPath{feeder, setter.asn};
     u.update.attrs.next_hop = u.peer_ip;
-    const double kind = rng.uniform01();
-    auto targets = [&](std::size_t lo, std::size_t hi, bool include) {
-      const std::size_t n = rng.uniform(lo, hi);
-      for (std::size_t t = 0; t < n; ++t) {
-        const bgp::Asn peer = members[rng.uniform(0, members.size() - 1)];
-        if (peer == setter.asn) continue;
-        u.update.attrs.add_community(include ? scheme.include_community(peer)
-                                             : scheme.exclude_community(peer));
-      }
-    };
-    const bool quick = kind >= 0.95;
-    if (kind < 0.55 || quick) {
-      u.update.attrs.add_community(scheme.all_community());
-      targets(0, 2, false);
-    } else if (kind < 0.85) {
-      u.update.attrs.add_community(scheme.all_community());
-      targets(3, 30, false);
-    } else {
-      u.update.attrs.add_community(scheme.none_community());
-      targets(5, 50, true);
-    }
+    u.update.attrs.communities = draw_policy(setter);
+    const bool quick = rng.chance(kQuickWithdrawal);
     const std::uint32_t base = quick ? 11u << 24 : 10u << 24;
-    const bgp::IpPrefix prefix(base | setter.index << 8, 24);
+    const bgp::IpPrefix prefix(base | setter.slot << 8, 24);
     u.update.nlri = {prefix};
     if (quick) {
       mrt::ObservedUpdate w;

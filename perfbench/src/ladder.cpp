@@ -176,9 +176,9 @@ FeedReference reference_feed(const LiveInputs& in, std::size_t feed) {
   Batches out;
   auto collect = [&](std::uint32_t unit) {
     for (auto& [ixp, batch] : out)
-      for (const auto& o : batch)
-        ref.emitted.push_back(Emitted{static_cast<std::uint32_t>(ixp),
-                                      o.timestamp, unit, o.setter});
+      for (auto& o : batch)
+        ref.emitted.push_back(
+            Emitted{static_cast<std::uint32_t>(ixp), unit, std::move(o)});
     out.clear();
   };
   for (std::uint32_t u = 0; u < input.units.size(); ++u) {

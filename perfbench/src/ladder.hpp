@@ -18,11 +18,10 @@ namespace perfbench {
 /// One observation as the lane's extractor attributed it.
 struct Emitted {
   std::uint32_t ixp = 0;
-  std::uint32_t ts = 0;
   /// Index of the unit whose consumption emitted it; the feed's unit
   /// count for observations flushed when the feed closed.
   std::uint32_t unit = 0;
-  mlp::bgp::Asn setter = 0;
+  mlp::core::Observation observation;
 };
 
 struct FeedReference {

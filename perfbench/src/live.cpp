@@ -10,7 +10,9 @@
 
 #include "client.hpp"
 #include "ladder.hpp"
+#include "core/engine.hpp"
 #include "pipeline/checkpoint.hpp"
+#include "pipeline/observation_queue.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/query_server.hpp"
 #include "workloads.hpp"
@@ -23,10 +25,15 @@ namespace {
 
 /// What distinguishes the two live workloads besides their inputs.
 struct LiveParams {
-  double rate = 0;  // offered units per second in the open-loop phase
+  double rate = 0;  // offered units per second in the open-loop phase,
+                    // at most kMaxLoad of the saturation rate
   std::size_t checkpoint_every = 0;  // units between checkpoint saves
   std::size_t snapshot_every = 0;    // units between snapshot() calls, 0: none
 };
+
+/// Highest share of the measured saturation rate an open-loop rate may
+/// offer; a run above it is invalid.
+constexpr double kMaxLoad = 0.25;
 
 /// Latest-due record a result waits for, per observation: the record
 /// whose consumption emitted it, or the record on any feed that moved
@@ -37,72 +44,77 @@ struct Visibility {
     double visible_ms = -1;     // since the open-loop start; -1 = never
   };
   std::vector<Sample> samples;
-  /// Per IXP: sample index of the observation at each accepted rank
-  /// (1-based; the engine generation counts accepted observations), -1
-  /// for observations that are not sampled.
+  /// Per IXP: sample index of the observation at each engine generation
+  /// (1-based), -1 for observations that only close() releases.
   std::vector<std::vector<std::int64_t>> sample_of_rank;
   std::vector<std::uint64_t> final_generation;
 };
 
+/// Replay the open-loop schedule through the session's own merge and
+/// engine types: per IXP a Watermark ObservationQueue feeding an
+/// MlpInferenceEngine. Each send pushes the observations its record
+/// emitted in the one-thread reference lane and raises its feed's
+/// watermark to that lane's clock; whatever drains then waited for this
+/// send at the latest. Each generation the engine gains is one rank the
+/// poller reads back from the epoch snapshots.
 Visibility plan_visibility(const LiveInputs& in) {
   std::vector<FeedReference> refs;
   for (std::size_t f = 0; f < in.feeds.size(); ++f)
     refs.push_back(reference_feed(in, f));
-  std::vector<std::vector<std::size_t>> send_of(in.feeds.size());
-  for (std::size_t f = 0; f < in.feeds.size(); ++f)
-    send_of[f].resize(in.feeds[f].units.size());
-  for (std::size_t j = 0; j < in.schedule.size(); ++j)
-    send_of[in.schedule[j].feed][in.schedule[j].unit] = j;
-
-  struct Entry {
-    std::uint32_t ts;
-    std::uint32_t feed;
-    std::size_t seq;
+  struct Shard {
+    Shard(const core::IxpContext& context, std::size_t sources)
+        : queue(sources, pipeline::MergePolicy::Watermark), engine(context) {}
+    pipeline::ObservationQueue queue;
+    core::MlpInferenceEngine engine;
   };
-  std::vector<std::vector<Entry>> merged(in.ixps.size());
-  for (std::uint32_t f = 0; f < refs.size(); ++f)
-    for (std::size_t s = 0; s < refs[f].emitted.size(); ++s)
-      merged[refs[f].emitted[s].ixp].push_back(
-          Entry{refs[f].emitted[s].ts, f, s});
+  std::vector<std::unique_ptr<Shard>> shards;
+  for (const auto& context : in.ixps)
+    shards.push_back(std::make_unique<Shard>(context, refs.size()));
 
   Visibility plan;
-  for (std::size_t i = 0; i < in.ixps.size(); ++i) {
-    // The watermark merge drains each IXP in (timestamp, feed, FIFO)
-    // order.
-    auto& order = merged[i];
-    std::stable_sort(order.begin(), order.end(),
-                     [](const Entry& a, const Entry& b) {
-                       return a.ts != b.ts ? a.ts < b.ts : a.feed < b.feed;
-                     });
-    std::vector<std::int64_t> ranks{-1};
-    for (const Entry& e : order) {
-      const Emitted& obs = refs[e.feed].emitted[e.seq];
-      if (!in.ixps[i].is_member(obs.setter)) continue;  // engine rejects
-      std::int64_t sample = -1;
-      if (obs.unit < in.feeds[e.feed].units.size()) {
-        std::size_t last = send_of[e.feed][obs.unit];
-        bool released = true;
-        for (std::size_t g = 0; g < refs.size() && released; ++g) {
-          const auto& clock = refs[g].clock;
-          const auto it =
-              std::upper_bound(clock.begin(), clock.end(), obs.ts);
-          if (it == clock.end()) {
-            released = false;  // only close() releases it
-          } else {
-            last = std::max(
-                last, send_of[g][static_cast<std::size_t>(it - clock.begin())]);
+  plan.sample_of_rank.assign(in.ixps.size(), {-1});
+  std::vector<std::size_t> pushed(refs.size(), 0);
+  auto push_through = [&](std::size_t f, std::uint32_t unit) {
+    const auto& emitted = refs[f].emitted;
+    for (; pushed[f] < emitted.size() && emitted[pushed[f]].unit <= unit;
+         ++pushed[f])
+      shards[emitted[pushed[f]].ixp]->queue.push(
+          f, {emitted[pushed[f]].observation});
+  };
+  auto drain = [&](std::int64_t last_send) {
+    std::vector<core::Observation> batch;
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+      auto& ranks = plan.sample_of_rank[i];
+      while (shards[i]->queue.try_pop(batch)) {
+        for (const auto& observation : batch) {
+          shards[i]->engine.add(observation);
+          while (ranks.size() <= shards[i]->engine.generation()) {
+            std::int64_t sample = -1;
+            if (last_send >= 0) {
+              sample = static_cast<std::int64_t>(plan.samples.size());
+              plan.samples.push_back(Visibility::Sample{
+                  static_cast<std::size_t>(last_send), -1});
+            }
+            ranks.push_back(sample);
           }
         }
-        if (released) {
-          sample = static_cast<std::int64_t>(plan.samples.size());
-          plan.samples.push_back(Visibility::Sample{last, -1});
-        }
       }
-      ranks.push_back(sample);
     }
-    plan.final_generation.push_back(ranks.size() - 1);
-    plan.sample_of_rank.push_back(std::move(ranks));
+  };
+  for (std::size_t j = 0; j < in.schedule.size(); ++j) {
+    const Send& send = in.schedule[j];
+    push_through(send.feed, send.unit);
+    for (auto& shard : shards)
+      shard->queue.set_watermark(send.feed, refs[send.feed].clock[send.unit]);
+    drain(static_cast<std::int64_t>(j));
   }
+  for (std::size_t f = 0; f < refs.size(); ++f) {
+    push_through(f, UINT32_MAX);
+    for (auto& shard : shards) shard->queue.close(f);
+  }
+  drain(-1);
+  for (const auto& shard : shards)
+    plan.final_generation.push_back(shard->engine.generation());
   return plan;
 }
 
@@ -143,9 +155,9 @@ double saturate(const LiveInputs& in,
     ScopedSpan span(log, feed_name, j);
     handles[chunks[j].first].feed(chunks[j].second);
   }
-  const auto result = session.finish();
+  auto result = session.finish();
   const double wall = seconds_since(start);
-  check_links(reference, links_of(result), "saturation run");
+  check_links(reference, links_of(std::move(result)), "saturation run");
   return wall;
 }
 
@@ -195,10 +207,9 @@ std::span<const std::uint8_t> unit_bytes(const LiveInputs& in,
   return {feed.bytes.data() + unit.offset, unit.length};
 }
 
-std::vector<std::set<bgp::AsLink>> links_of(
-    const pipeline::LiveResult& result) {
+std::vector<std::set<bgp::AsLink>> links_of(pipeline::LiveResult result) {
   std::vector<std::set<bgp::AsLink>> out;
-  for (const auto& ixp : result.per_ixp) out.push_back(ixp.links);
+  for (auto& ixp : result.per_ixp) out.push_back(std::move(ixp.links));
   return out;
 }
 
@@ -226,10 +237,10 @@ std::vector<std::set<bgp::AsLink>> archive_reference(const LiveInputs& in,
   for (const auto& context : in.ixps) pipe.add_ixp(context);
   pipe.set_relationships(in.rel_fn());
   for (const auto& feed : in.feeds) pipe.add_update_stream(feed.mrt);
-  const auto result = pipe.run();
+  auto result = pipe.run();
   seconds = seconds_since(start);
   std::vector<std::set<bgp::AsLink>> out;
-  for (const auto& ixp : result.per_ixp) out.push_back(ixp.links);
+  for (auto& ixp : result.per_ixp) out.push_back(std::move(ixp.links));
   return out;
 }
 
@@ -284,14 +295,14 @@ Report run_live(const Options& options) {
 
   // ---- setup: one untimed warm-up pass through a throwaway session,
   // then the measured session, its feeds, the QueryServer bind and one
-  // warm-up request; three times, the last session is kept
+  // warm-up request; five times, the last session is kept
   SpanLog off(false);
   std::vector<double> setups;
   std::unique_ptr<pipeline::LiveSession> session;
   std::unique_ptr<pipeline::QueryServer> server;
   std::unique_ptr<QueryClient> client;
   std::vector<pipeline::FeedHandle> handles;
-  for (int k = 0; k < 3; ++k) {
+  for (int k = 0; k < 5; ++k) {
     client.reset();
     server.reset();
     session.reset();
@@ -441,10 +452,10 @@ Report run_live(const Options& options) {
   stop_poll = true;
   poller.join();
   const auto finish_start = Clock::now();
-  const auto result = session->finish();
+  auto result = session->finish();
   calls_log.add(finish_name, finish_start, Clock::now());
-  check_links(reference, links_of(result), "open-loop session");
   check_answers(*client, in.ixps, result, options.seed);
+  check_links(reference, links_of(std::move(result)), "open-loop session");
   client.reset();
   server.reset();
   session.reset();
@@ -534,11 +545,16 @@ Report run_live(const Options& options) {
     report.valid = false;
     report.invalid_reason = "generator more than 100 ms late on over 1% of records";
   }
+  const double ingest_rps = static_cast<double>(in.records) / wall;
+  if (params.rate > kMaxLoad * ingest_rps) {
+    report.valid = false;
+    report.invalid_reason = "offered rate above a quarter of saturation";
+  }
 
   report.e2e("setup_s", median(setups));
   report.e2e("peak_rss_mb", peak);
   report.e2e("archive_s", median(archive_runs));
-  report.e2e("ingest_rps", static_cast<double>(in.records) / wall);
+  report.e2e("ingest_rps", ingest_rps);
   report.e2e("visible_p50_ms", quantile(visible, 0.5));
   report.e2e("visible_p90_ms", quantile(visible, 0.9));
   report.e2e("checkpoint_ms", median(save_ms));
@@ -568,13 +584,26 @@ Report run_live(const Options& options) {
                        "saturation");
     return w;
   }();
+  // The ladder untraced (median of three) and traced: the difference is
+  // what the two clock reads around every call cost.
+  auto ladder_pass = [&](SpanLog& log) {
+    return live_ladder(in, session_config(in).batch_size,
+                       session_config(in).publish_every_batches,
+                       params.snapshot_every != 0 ? params.snapshot_every
+                                                  : params.checkpoint_every,
+                       log);
+  };
+  std::vector<double> plain_s;
+  for (int k = 0; k < 3; ++k) {
+    const auto start = Clock::now();
+    const auto plain = ladder_pass(off);
+    plain_s.push_back(seconds_since(start));
+    check_links(reference, plain.links, "untraced ladder");
+  }
   SpanLog ladder_log(true);
-  const auto ladder = live_ladder(
-      in, session_config(in).batch_size,
-      session_config(in).publish_every_batches,
-      params.snapshot_every != 0 ? params.snapshot_every
-                                 : params.checkpoint_every,
-      ladder_log);
+  const auto ladder_start = Clock::now();
+  const auto ladder = ladder_pass(ladder_log);
+  const double ladder_s = seconds_since(ladder_start);
   check_links(reference, ladder.links, "ladder");
   const auto self = ladder_log.self_ms();
   double lane_ms = 0, layers_ms = 0;
@@ -611,6 +640,8 @@ Report run_live(const Options& options) {
   report.layer("pipeline.checkpoint.restore_ms", median(restore_ms));
   report.layer("pipeline.checkpoint.payload_B", static_cast<double>(payload));
   report.layer("trace.overhead_pct", (traced_wall / wall - 1) * 100);
+  report.layer("trace.ladder_overhead_pct",
+               (ladder_s / median(plain_s) - 1) * 100);
 
   std::printf("ladder (one thread, chain order) against %.1f ms of "
               "untraced saturation wall:\n", wall * 1e3);
@@ -618,6 +649,8 @@ Report run_live(const Options& options) {
     std::printf("  %-16s %10.2f ms  %6.1f%%\n", name.c_str(), ms,
                 100 * ms / (wall * 1e3));
   std::printf("  %-16s %10.2f ms\n", "unaccounted", wall * 1e3 - layers_ms);
+  std::printf("ladder wall %.1f ms traced, %.1f ms untraced\n", ladder_s * 1e3,
+              median(plain_s) * 1e3);
   const std::string spans = options.work_dir + "/spans-" + options.workload +
                             ".jsonl";
   calls_log.write_jsonl(spans, "calls");

@@ -6,8 +6,9 @@
 //
 // The last line of standard output is one JSON object: correct,
 // attempted, failed and the metrics (end-to-end with --trace 0, per-layer
-// with --trace 1). A wrong answer exits 1; an invalid open-loop run (the
-// generator fell behind, or the merge backlog kept growing) exits 3.
+// with --trace 1). A wrong answer or a failed operation exits 1; an
+// invalid open-loop run (the generator fell behind, the merge backlog kept
+// growing, or the offered rate came near saturation) exits 3.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -84,6 +85,7 @@ const Table kPerLayer = {
     {"driver.query_samples", "count"},
     {"scenario.generate_s", "s"},
     {"trace.overhead_pct", "%"},
+    {"trace.ladder_overhead_pct", "%"},
 };
 
 int usage() {
@@ -160,6 +162,13 @@ int main(int argc, char** argv) {
       return usage();
   } catch (const perfbench::OracleFailure& e) {
     std::fprintf(stderr, "oracle mismatch: %s\n", e.what());
+    print_result(false, report, kEndToEnd, {});
+    return 1;
+  }
+  if (report.failed != 0) {
+    std::fprintf(stderr, "%llu of %llu operations failed\n",
+                 static_cast<unsigned long long>(report.failed),
+                 static_cast<unsigned long long>(report.attempted));
     print_result(false, report, kEndToEnd, {});
     return 1;
   }

@@ -54,8 +54,8 @@ std::vector<mlp::pipeline::FeedHandle> wire(mlp::pipeline::LiveSession& session,
 std::span<const std::uint8_t> unit_bytes(const LiveInputs& in,
                                          const Send& send);
 
-/// Per-IXP link sets of a finished live session.
+/// Per-IXP link sets of a finished live session (moved out of it).
 std::vector<std::set<mlp::bgp::AsLink>> links_of(
-    const mlp::pipeline::LiveResult& result);
+    mlp::pipeline::LiveResult result);
 
 }  // namespace perfbench

@@ -6,7 +6,8 @@
 Prints, for every metric, the median, the first and third quartiles and
 the spread (IQR / median), and flags each end-to-end metric whose spread
 exceeds a tenth (or its BENCHMARK.json bound, whichever is smaller).
-Exits 1 when a run fails or a metric is flagged.
+A run fails when it exits nonzero, answers wrongly or counts a failed
+operation. Exits 1 when a run fails or a metric is flagged.
 """
 import argparse
 import json
@@ -49,7 +50,8 @@ def main():
             cwd=ROOT, stdout=subprocess.PIPE, text=True)
         lines = out.stdout.strip().splitlines()
         result = json.loads(lines[-1]) if lines else {}
-        ok = out.returncode == 0 and result.get("correct") is True
+        ok = (out.returncode == 0 and result.get("correct") is True
+              and result.get("failed") == 0)
         print("seed %d: exit %d, correct %s, failed %s/%s" % (
             seed, out.returncode, result.get("correct"),
             result.get("failed"), result.get("attempted")), flush=True)
@@ -72,7 +74,7 @@ def main():
         spread = (q3 - q1) / med if med else float("inf")
         limit = min(0.1, limits.get(name, 0.1))
         flag = ""
-        if args.trace == 0 and name != "setup_s" and spread > limit:
+        if args.trace == 0 and spread > limit:
             flag = "  <-- spread above %.3g" % limit
             flagged += 1
         print("%-34s %14.6g %14.6g %14.6g %8.3f %s%s" % (
