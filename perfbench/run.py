@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Build and run the end-to-end benchmark.
 
-    python3 perfbench/run.py --workload archive --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload archive --seed 1 --seconds 30 --trace 0
     python3 perfbench/run.py --self-test
 
 Run from the repository root. The program is built from source (this
@@ -51,7 +51,7 @@ def main():
     parser.add_argument("--workload",
                         choices=["archive", "live-feeds", "live-bigrs"])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=25)
+    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     parser.add_argument("--self-test", action="store_true",
                         help="check that the input generators are seeded")

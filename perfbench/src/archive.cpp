@@ -82,7 +82,7 @@ double false_positive_rate(const ArchiveInputs& in,
 
 struct ServeFigures {
   QueryLoad load;
-  std::vector<double> save_ms, restore_ms;
+  std::vector<Timed> save_ms, restore_ms;
   std::uint64_t attempted = 0, failed = 0;
   std::uintmax_t payload = 0;
 };
@@ -120,8 +120,9 @@ ServeFigures serve(const LiveInputs& serve_in,
       try {
         const auto start = Clock::now();
         pipeline::save_checkpoint(session, ckpt);
-        log.add(save_name, start, Clock::now());
-        out.save_ms.push_back(ms_between(start, Clock::now()));
+        const auto end = Clock::now();
+        log.add(save_name, start, end);
+        out.save_ms.push_back(Timed{start, end, ms_between(start, end)});
         // Spread over three seconds: one burst of machine noise must not
         // set the median.
         std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -143,8 +144,9 @@ ServeFigures serve(const LiveInputs& serve_in,
     try {
       const auto start = Clock::now();
       (void)pipeline::restore_checkpoint(fresh, ckpt);
-      log.add(restore_name, start, Clock::now());
-      out.restore_ms.push_back(ms_between(start, Clock::now()));
+      const auto end = Clock::now();
+      log.add(restore_name, start, end);
+      out.restore_ms.push_back(Timed{start, end, ms_between(start, end)});
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "checkpoint restore failed: %s\n", e.what());
@@ -175,17 +177,18 @@ Report run_archive(const Options& options) {
   serve_in.schedule = interleave(serve_in.feeds);
   serve_in.records = in.replay.records;
   const double generate_s = seconds_since(gen_start);
+  const InterferenceMonitor monitor;
 
   // Setup: construction, registration and one untimed warm-up pass,
   // five times. The first result is the reference every later pass must
   // reproduce, and it must meet the paper's precision bound.
   SpanLog off(false);
-  std::vector<double> setups;
+  std::vector<Timed> setups;
   std::vector<std::set<bgp::AsLink>> reference;
   for (int k = 0; k < 5; ++k) {
     const auto start = Clock::now();
     auto links = archive_pass(in, off, 0);
-    setups.push_back(seconds_since(start));
+    setups.push_back(timed_since(start));
     if (k == 0)
       reference = std::move(links);
     else
@@ -203,14 +206,14 @@ Report run_archive(const Options& options) {
 
   // Timed passes for 60% of the run; the serve phase takes most of the
   // rest.
-  std::vector<double> passes;
+  std::vector<Timed> passes;
   const auto phase_start = Clock::now();
   std::uint64_t attempted = 0;
   while (passes.size() < 3 ||
          seconds_since(phase_start) < 0.6 * options.seconds) {
     const auto start = Clock::now();
     const auto links = archive_pass(in, off, passes.size() + 1);
-    passes.push_back(seconds_since(start));
+    passes.push_back(timed_since(start));
     attempted += in.entries;
     check_links(reference, links, "archive pass");
   }
@@ -221,19 +224,24 @@ Report run_archive(const Options& options) {
   report.attempted = attempted + figures.attempted;
   report.failed = figures.failed;
 
-  const double pass_s = median(passes);
+  // Every figure is taken over the samples that saw the least
+  // interference from other tenants (see quiet()).
+  const auto quiet_passes = quiet(passes, monitor);
+  const double pass_s = median(quiet_passes);
   std::vector<double> pass_ms;
-  for (const double p : passes) pass_ms.push_back(p * 1e3);
-  const auto rtts = figures.load.all_us();
-  report.e2e("setup_s", median(setups));
+  for (const double p : quiet_passes) pass_ms.push_back(p * 1e3);
+  const auto rtts = quiet(figures.load.all_us, monitor);
+  const double save_ms = median(quiet(figures.save_ms, monitor));
+  const double restore_ms = median(quiet(figures.restore_ms, monitor));
+  report.e2e("setup_s", median(quiet(setups, monitor)));
   report.e2e("peak_rss_mb", peak);
   report.e2e("archive_s", pass_s);
   report.e2e("ingest_rps", static_cast<double>(in.entries) / pass_s);
   // In batch mode a record is visible once the pass's result exists.
   report.e2e("visible_p50_ms", quantile(pass_ms, 0.5));
   report.e2e("visible_p90_ms", quantile(pass_ms, 0.9));
-  report.e2e("checkpoint_ms", median(figures.save_ms));
-  report.e2e("resume_ms", median(figures.restore_ms));
+  report.e2e("checkpoint_ms", save_ms);
+  report.e2e("resume_ms", restore_ms);
   report.e2e("query_p50_us", quantile(rtts, 0.5));
   std::printf("archive: %zu RIB entries over %zu IXPs; %zu passes, "
               "false positives %.3f%%; serve phase %zu query samples\n",
@@ -243,6 +251,7 @@ Report run_archive(const Options& options) {
   report.layer("driver.visible_samples", static_cast<double>(passes.size()));
   report.layer("driver.query_samples", static_cast<double>(rtts.size()));
   report.layer("scenario.generate_s", generate_s);
+  report.layer("driver.interference_cpus", monitor.mean());
   if (!options.trace) return report;
 
   // ---- traced run: one pass with benchmark-side spans, then the ladder
@@ -280,8 +289,8 @@ Report run_archive(const Options& options) {
                static_cast<double>(figures.load.requests));
   report.layer("pipeline.query.errors",
                static_cast<double>(figures.load.errors));
-  report.layer("pipeline.checkpoint.save_ms", median(figures.save_ms));
-  report.layer("pipeline.checkpoint.restore_ms", median(figures.restore_ms));
+  report.layer("pipeline.checkpoint.save_ms", save_ms);
+  report.layer("pipeline.checkpoint.restore_ms", restore_ms);
   report.layer("pipeline.checkpoint.payload_B",
                static_cast<double>(figures.payload));
   report.layer("trace.overhead_pct", (traced_s / pass_s - 1) * 100);

@@ -59,13 +59,6 @@ std::string QueryClient::ask(const std::string& request) {
   }
 }
 
-std::vector<double> QueryLoad::all_us() const {
-  std::vector<double> out = link_us;
-  out.insert(out.end(), links_us.begin(), links_us.end());
-  out.insert(out.end(), stats_us.begin(), stats_us.end());
-  return out;
-}
-
 void run_query_mix(QueryClient& client,
                    const std::vector<core::IxpContext>& ixps,
                    std::uint64_t seed, const std::atomic<bool>& stop,
@@ -109,6 +102,7 @@ void run_query_mix(QueryClient& client,
       continue;
     }
     sink->push_back(ms_between(start, end) * 1e3);
+    out.all_us.push_back(Timed{start, end, sink->back()});
   }
 }
 

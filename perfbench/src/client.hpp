@@ -29,13 +29,12 @@ class QueryClient {
   std::string buffer_;
 };
 
-/// Round trips of the closed-loop mix, per verb.
+/// Round trips of the closed-loop mix, per verb and all together.
 struct QueryLoad {
   std::vector<double> link_us, links_us, stats_us;
+  std::vector<Timed> all_us;
   std::uint64_t requests = 0;
   std::uint64_t errors = 0;  // "err" answers, timeouts and closed sockets
-
-  std::vector<double> all_us() const;
 };
 
 /// Closed loop until `stop`: 80% `link`, 10% `links`, 10% `stats` over

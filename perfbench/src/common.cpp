@@ -1,5 +1,8 @@
 #include "common.hpp"
 
+#include <time.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -24,6 +27,34 @@ double median(const std::vector<double>& values) {
 
 namespace {
 
+struct CpuCounters {
+  bool valid = false;
+  double busy_s = 0;   // user + nice + system, all CPUs
+  double steal_s = 0;  // all CPUs
+  double own_s = 0;    // this process, all threads
+};
+
+CpuCounters read_counters() {
+  CpuCounters out;
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  out.own_s = static_cast<double>(ts.tv_sec) +
+              static_cast<double>(ts.tv_nsec) * 1e-9;
+  std::ifstream in("/proc/stat");
+  std::string cpu;
+  double user = 0, nice = 0, system = 0, idle = 0, iowait = 0, irq = 0,
+         softirq = 0, steal = 0;
+  if (!(in >> cpu >> user >> nice >> system >> idle >> iowait >> irq >>
+        softirq >> steal) ||
+      cpu != "cpu")
+    return out;
+  const double tick = 1.0 / static_cast<double>(::sysconf(_SC_CLK_TCK));
+  out.valid = true;
+  out.busy_s = (user + nice + system) * tick;
+  out.steal_s = steal * tick;
+  return out;
+}
+
 double status_kb(const std::string& key) {
   std::ifstream in("/proc/self/status");
   std::string line;
@@ -38,6 +69,78 @@ double status_kb(const std::string& key) {
 }
 
 }  // namespace
+
+InterferenceMonitor::InterferenceMonitor()
+    : begin_(Clock::now()), thread_([this] { run(); }) {}
+
+InterferenceMonitor::~InterferenceMonitor() {
+  stop_ = true;
+  thread_.join();
+}
+
+void InterferenceMonitor::run() {
+  CpuCounters last = read_counters();
+  auto last_t = Clock::now();
+  while (!stop_.load(std::memory_order_relaxed)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const CpuCounters now = read_counters();
+    const auto now_t = Clock::now();
+    const double dt = std::chrono::duration<double>(now_t - last_t).count();
+    double cpus = 0;
+    if (now.valid && last.valid && dt > 0) {
+      const double others = std::max(
+          0.0, (now.busy_s - last.busy_s) - (now.own_s - last.own_s));
+      cpus = (others + now.steal_s - last.steal_s) / dt;
+    }
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      slots_.push_back(Slot{now_t, cpus});
+    }
+    last = now;
+    last_t = now_t;
+  }
+}
+
+double InterferenceMonitor::over(Clock::time_point start,
+                                 Clock::time_point end) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (slots_.empty()) return 0;
+  double weighted = 0, covered = 0;
+  Clock::time_point slot_start = begin_;
+  for (const Slot& slot : slots_) {
+    const auto a = std::max(start, slot_start);
+    const auto b = std::min(end, slot.end);
+    if (a <= b) {
+      // A sample shorter than the clock's tick still weighs something.
+      const double w =
+          std::max(std::chrono::duration<double>(b - a).count(), 1e-9);
+      weighted += w * slot.cpus;
+      covered += w;
+    }
+    slot_start = slot.end;
+  }
+  return covered > 0 ? weighted / covered : slots_.back().cpus;
+}
+
+double InterferenceMonitor::mean() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  double sum = 0;
+  for (const Slot& slot : slots_) sum += slot.cpus;
+  return slots_.empty() ? 0 : sum / static_cast<double>(slots_.size());
+}
+
+std::vector<double> quiet(const std::vector<Timed>& samples,
+                          const InterferenceMonitor& monitor) {
+  std::vector<double> load;
+  load.reserve(samples.size());
+  for (const Timed& sample : samples)
+    load.push_back(monitor.over(sample.start, sample.end));
+  const double cut = median(load);
+  std::vector<double> out;
+  for (std::size_t i = 0; i < samples.size(); ++i)
+    if (load[i] <= cut) out.push_back(samples[i].value);
+  return out;
+}
 
 double peak_rss_mb() { return status_kb("VmHWM:") / 1024.0; }
 

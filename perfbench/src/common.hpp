@@ -3,11 +3,14 @@
 // runs.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace perfbench {
@@ -29,6 +32,56 @@ inline std::int64_t ns_since_epoch(Clock::time_point t) {
 /// Quantile `q` in [0, 1] with linear interpolation; 0 for an empty set.
 double quantile(std::vector<double> values, double q);
 double median(const std::vector<double>& values);
+
+/// A value measured over [start, end].
+struct Timed {
+  Clock::time_point start;
+  Clock::time_point end;
+  double value = 0;
+};
+
+/// The interval from `start` to now, valued in seconds.
+inline Timed timed_since(Clock::time_point start) {
+  const auto end = Clock::now();
+  return Timed{start, end, std::chrono::duration<double>(end - start).count()};
+}
+
+/// For as long as it lives, samples in 100 ms slots how much CPU other
+/// work took from this machine: the hypervisor's steal plus the CPU time
+/// of every other process, read from /proc/stat against this process's
+/// own CPU clock. Where /proc/stat is unreadable every slot reads 0.
+class InterferenceMonitor {
+ public:
+  InterferenceMonitor();
+  ~InterferenceMonitor();
+  InterferenceMonitor(const InterferenceMonitor&) = delete;
+  InterferenceMonitor& operator=(const InterferenceMonitor&) = delete;
+
+  /// Mean interference over [start, end] in CPUs, weighted by how much of
+  /// each slot the interval covers.
+  double over(Clock::time_point start, Clock::time_point end) const;
+  /// Mean interference since construction, in CPUs.
+  double mean() const;
+
+ private:
+  struct Slot {
+    Clock::time_point end;
+    double cpus = 0;
+  };
+  void run();
+
+  const Clock::time_point begin_;
+  mutable std::mutex mutex_;
+  std::vector<Slot> slots_;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+/// The values of the samples that saw no more interference than the
+/// median sample did: every sample on a quiet host, the quieter half
+/// while another tenant's bursts come and go.
+std::vector<double> quiet(const std::vector<Timed>& samples,
+                          const InterferenceMonitor& monitor);
 
 /// A benchmark outcome that means the system answered wrongly.
 class OracleFailure : public std::runtime_error {

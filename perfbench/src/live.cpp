@@ -278,6 +278,7 @@ Report run_live(const Options& options) {
       bigrs ? make_bigrs_inputs(options.seed, units)
             : make_feeds_inputs(options.seed, units / 2);
   const double generate_s = seconds_since(gen_start);
+  const InterferenceMonitor monitor;
 
   // ---- oracle: the archive path over the same bytes
   std::vector<std::set<bgp::AsLink>> reference;
@@ -297,7 +298,7 @@ Report run_live(const Options& options) {
   // then the measured session, its feeds, the QueryServer bind and one
   // warm-up request; five times, the last session is kept
   SpanLog off(false);
-  std::vector<double> setups;
+  std::vector<Timed> setups;
   std::unique_ptr<pipeline::LiveSession> session;
   std::unique_ptr<pipeline::QueryServer> server;
   std::unique_ptr<QueryClient> client;
@@ -316,13 +317,14 @@ Report run_live(const Options& options) {
     client = std::make_unique<QueryClient>(server->port());
     if (client->ask("ixps").rfind("ok ", 0) != 0)
       throw OracleFailure("warm-up query failed");
-    setups.push_back(seconds_since(start));
+    setups.push_back(timed_since(start));
   }
   reset_peak_rss();
 
   // ---- open loop
   const std::string ckpt = options.work_dir + "/" + options.workload + ".ckpt";
-  std::vector<double> save_ms, late_ms;
+  std::vector<Timed> save_ms;
+  std::vector<double> late_ms;
   std::atomic<bool> stop_poll{false}, stop_query{false};
   QueryLoad load;
   std::vector<std::pair<double, double>> backlog;
@@ -407,7 +409,7 @@ Report run_live(const Options& options) {
       pipeline::save_checkpoint(*session, ckpt);
       const auto end = Clock::now();
       calls_log.add(save_name, start, end);
-      save_ms.push_back(ms_between(start, end));
+      save_ms.push_back(Timed{start, end, ms_between(start, end)});
     } catch (const std::exception& e) {
       std::fprintf(stderr, "checkpoint save failed: %s\n", e.what());
       ++failed;
@@ -465,7 +467,7 @@ Report run_live(const Options& options) {
   // round, for 45% of the run (at least five rounds). Interleaving
   // spreads each metric's samples over the whole phase, so a slow
   // stretch of the host moves all three a little instead of one a lot.
-  std::vector<double> archive_runs, walls, restore_ms;
+  std::vector<Timed> archive_runs, walls, restore_ms;
   auto restore = [&](bool resume) {
     pipeline::LiveSession fresh(session_config(in), in.ixps, in.rel_fn());
     auto fresh_handles = wire(fresh, in);
@@ -475,7 +477,7 @@ Report run_live(const Options& options) {
       (void)pipeline::restore_checkpoint(fresh, ckpt);
       const auto end = Clock::now();
       calls_log.add(restore_name, start, end);
-      restore_ms.push_back(ms_between(start, end));
+      restore_ms.push_back(Timed{start, end, ms_between(start, end)});
     } catch (const std::exception& e) {
       std::fprintf(stderr, "checkpoint restore failed: %s\n", e.what());
       ++failed;
@@ -500,8 +502,10 @@ Report run_live(const Options& options) {
     check_links(reference, archive_reference(in, seconds),
                 "archive-path rerun");
     calls_log.add(run_name, start, Clock::now());
-    archive_runs.push_back(seconds);
-    walls.push_back(saturate(in, reference, off));
+    archive_runs.push_back(Timed{start, Clock::now(), seconds});
+    const auto saturate_start = Clock::now();
+    const double saturate_s = saturate(in, reference, off);
+    walls.push_back(Timed{saturate_start, Clock::now(), saturate_s});
     restore(false);
   }
   restore(true);
@@ -510,19 +514,25 @@ Report run_live(const Options& options) {
   payload = std::filesystem::file_size(ckpt, ec);
   std::filesystem::remove(ckpt, ec);
   std::filesystem::remove(ckpt + ".1", ec);
-  const double wall = median(walls);
+  // Every figure is taken over the samples that saw the least
+  // interference from other tenants (see quiet()).
+  const double wall = median(quiet(walls, monitor));
   const double peak = peak_rss_mb();
 
   // ---- accounting
-  std::vector<double> visible;
+  std::vector<Timed> visible;
   std::uint64_t never = 0;
   for (const auto& sample : plan.samples) {
     if (sample.visible_ms < 0) {
       ++never;
       continue;
     }
-    const double due_ms = ms_between(t0, due(sample.last_send));
-    visible.push_back(std::max(0.0, sample.visible_ms - due_ms));
+    const auto due_at = due(sample.last_send);
+    const auto seen_at = std::max(
+        due_at, t0 + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double, std::milli>(
+                             sample.visible_ms)));
+    visible.push_back(Timed{due_at, seen_at, ms_between(due_at, seen_at)});
   }
   attempted += plan.samples.size() + load.requests;
   failed += never + load.errors;
@@ -551,15 +561,18 @@ Report run_live(const Options& options) {
     report.invalid_reason = "offered rate above a quarter of saturation";
   }
 
-  report.e2e("setup_s", median(setups));
+  const auto quiet_visible = quiet(visible, monitor);
+  const double save_p50 = median(quiet(save_ms, monitor));
+  const double restore_p50 = median(quiet(restore_ms, monitor));
+  report.e2e("setup_s", median(quiet(setups, monitor)));
   report.e2e("peak_rss_mb", peak);
-  report.e2e("archive_s", median(archive_runs));
+  report.e2e("archive_s", median(quiet(archive_runs, monitor)));
   report.e2e("ingest_rps", ingest_rps);
-  report.e2e("visible_p50_ms", quantile(visible, 0.5));
-  report.e2e("visible_p90_ms", quantile(visible, 0.9));
-  report.e2e("checkpoint_ms", median(save_ms));
-  report.e2e("resume_ms", median(restore_ms));
-  const auto rtts = load.all_us();
+  report.e2e("visible_p50_ms", quantile(quiet_visible, 0.5));
+  report.e2e("visible_p90_ms", quantile(quiet_visible, 0.9));
+  report.e2e("checkpoint_ms", save_p50);
+  report.e2e("resume_ms", restore_p50);
+  const auto rtts = quiet(load.all_us, monitor);
   report.e2e("query_p50_us", quantile(rtts, 0.5));
   std::printf(
       "%s: %zu records at %.0f/s offered over %.2f s; %zu visibility "
@@ -573,6 +586,7 @@ Report run_live(const Options& options) {
   report.layer("driver.visible_samples", static_cast<double>(visible.size()));
   report.layer("driver.query_samples", static_cast<double>(rtts.size()));
   report.layer("scenario.generate_s", generate_s);
+  report.layer("driver.interference_cpus", monitor.mean());
   if (!options.trace) return report;
 
   // ---- traced run: benchmark-side spans are in; now the ladder
@@ -636,8 +650,8 @@ Report run_live(const Options& options) {
   report.layer("pipeline.query.stats_us", quantile(load.stats_us, 0.5));
   report.layer("pipeline.query.requests", static_cast<double>(load.requests));
   report.layer("pipeline.query.errors", static_cast<double>(load.errors));
-  report.layer("pipeline.checkpoint.save_ms", median(save_ms));
-  report.layer("pipeline.checkpoint.restore_ms", median(restore_ms));
+  report.layer("pipeline.checkpoint.save_ms", save_p50);
+  report.layer("pipeline.checkpoint.restore_ms", restore_p50);
   report.layer("pipeline.checkpoint.payload_B", static_cast<double>(payload));
   report.layer("trace.overhead_pct", (traced_wall / wall - 1) * 100);
   report.layer("trace.ladder_overhead_pct",

@@ -83,6 +83,7 @@ const Table kPerLayer = {
     {"driver.backlog_slope", "obs/s"},
     {"driver.visible_samples", "count"},
     {"driver.query_samples", "count"},
+    {"driver.interference_cpus", "cpus"},
     {"scenario.generate_s", "s"},
     {"trace.overhead_pct", "%"},
     {"trace.ladder_overhead_pct", "%"},

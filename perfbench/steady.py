@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Steadiness check: run one workload N times with distinct seeds.
 
-    python3 perfbench/steady.py --workload live-feeds --runs 10 --seconds 25
+    python3 perfbench/steady.py --workload live-feeds --runs 10 --seconds 30
 
 Prints, for every metric, the median, the first and third quartiles and
 the spread (IQR / median), and flags each end-to-end metric whose spread
@@ -34,7 +34,7 @@ def main():
     parser.add_argument("--workload", required=True)
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=25)
+    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     args = parser.parse_args()
 
