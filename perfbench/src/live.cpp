@@ -506,7 +506,9 @@ Report run_live(const Options& options) {
     const auto saturate_start = Clock::now();
     const double saturate_s = saturate(in, reference, off);
     walls.push_back(Timed{saturate_start, Clock::now(), saturate_s});
-    restore(false);
+    // Few rounds fit in a run and a restore is short: three per round give
+    // resume_ms enough samples for a steady median.
+    for (int k = 0; k < 3; ++k) restore(false);
   }
   restore(true);
   std::uintmax_t payload = 0;
