@@ -661,9 +661,6 @@ void BM_MultiFeedLiveSession(benchmark::State& state) {
   }
   for (auto _ : state) {
     pipeline::LiveConfig config;
-    // The legacy strict-order merge: the committed baseline compares
-    // against it, and BM_WatermarkMerge prices the new policy apart.
-    config.merge = pipeline::MergePolicy::Concatenate;
     config.threads = 2;
     pipeline::LiveSession session(config, fixture.ixps);
     std::vector<pipeline::FeedHandle> handles;
@@ -721,7 +718,6 @@ void BM_SupervisedLiveSession(benchmark::State& state) {
   }
   for (auto _ : state) {
     pipeline::LiveConfig config;
-    config.merge = pipeline::MergePolicy::Concatenate;
     config.threads = 2;
     // Production-shaped budgets; a healthy feed never trips them, so
     // this prices the bookkeeping, not the quarantine machinery.
@@ -758,15 +754,13 @@ BENCHMARK(BM_SupervisedLiveSession)
 void BM_WatermarkMerge(benchmark::State& state) {
   // Queue-level cost of the k-way watermark merge: k producers push
   // timestamped batches round-robin with advancing watermarks while the
-  // consumer drains between rounds -- the per-observation overhead the
-  // Watermark policy adds over the strict concatenation drain.
+  // consumer drains between rounds -- the per-observation merge cost.
   const std::size_t n_sources = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kBatch = 64;
   constexpr std::size_t kRounds = 256;
   std::size_t drained = 0;
   for (auto _ : state) {
-    pipeline::ObservationQueue queue(n_sources,
-                                     pipeline::MergePolicy::Watermark);
+    pipeline::ObservationQueue queue(n_sources);
     std::vector<core::Observation> out;
     std::uint32_t ts = 1;
     for (std::size_t round = 0; round < kRounds; ++round) {
@@ -821,6 +815,27 @@ void BM_LiveSessionSnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_LiveSessionSnapshot)->Unit(benchmark::kMillisecond);
 
+/// Restamp a raw MRT stream (common header: u32 timestamp, u16 type,
+/// u16 subtype, u32 length) as its own next replay: every record moves
+/// later by the stream's span, so the new first record follows the old
+/// last one.
+void stamp_next_replay(std::vector<std::uint8_t>& data) {
+  std::vector<std::pair<std::size_t, std::uint32_t>> records;
+  for (std::size_t at = 0; at + 12 <= data.size();) {
+    ByteReader header(std::span<const std::uint8_t>(data).subspan(at, 12));
+    records.emplace_back(at, header.u32());
+    header.u16();
+    header.u16();
+    at += 12 + header.u32();
+  }
+  if (records.empty()) return;
+  const std::uint32_t span = records.back().second - records.front().second + 1;
+  for (const auto& [at, timestamp] : records)
+    for (std::size_t b = 0; b < 4; ++b)
+      data[at + b] =
+          static_cast<std::uint8_t>((timestamp + span) >> (24 - 8 * b));
+}
+
 /// Shared harness for BM_QueryThroughput: one LiveSession with a
 /// dedicated ingest thread replaying the update archive in a loop, so
 /// the epoch pumps keep publishing while the benchmark threads hammer
@@ -835,7 +850,6 @@ struct QueryThroughputHarness {
 
   QueryThroughputHarness() {
     pipeline::LiveConfig config;
-    config.merge = pipeline::MergePolicy::Concatenate;
     config.threads = 2;
     config.passive.max_pending_announcements = 1024;  // live surfacing
     config.publish_every_batches = 1;  // swap epochs as fast as possible
@@ -845,7 +859,10 @@ struct QueryThroughputHarness {
       constexpr std::size_t kChunk = 16384;
       // Replay the archive until stopped: duplicate observations keep
       // the engines mutating (every accepted add bumps the generation)
-      // and the pumps publishing without unbounded state growth.
+      // and the pumps publishing without unbounded state growth. Each
+      // pass is stamped after the previous one: the watermark merge
+      // drains only observations below the feed's stream clock, so a
+      // replay at already-seen timestamps would never drain.
       while (!stop.load(std::memory_order_acquire)) {
         for (std::size_t at = 0;
              at < data.size() && !stop.load(std::memory_order_acquire);
@@ -853,6 +870,7 @@ struct QueryThroughputHarness {
           handle.feed(std::span<const std::uint8_t>(
               data.data() + at, std::min(kChunk, data.size() - at)));
         }
+        stamp_next_replay(data);
       }
       handle.close();
     });

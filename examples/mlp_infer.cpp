@@ -32,16 +32,15 @@
 //       PATH                a file replayed as a byte stream
 //       listen:PORT         accept one TCP connection on 127.0.0.1:PORT
 //       connect:HOST:PORT   dial out to a collector (IPv4)
-//     Multiple feeds merge deterministically. --merge picks the policy:
-//     watermark (default) interleaves observations by timestamp across
-//     feeds, gated by the minimum per-feed watermark (--grace MS parks a
-//     stalled feed's watermark after MS ms of silence so one idle feed
-//     cannot hold the frontier); concat drains feeds in --feed order,
+//     Multiple feeds merge deterministically: observations interleave by
+//     timestamp across feeds, gated by the minimum per-feed watermark,
 //     reproducing archive-mode `infer --updates` over the per-feed
-//     archives. --bmp treats every feed as a BMP (RFC 7854) session and
-//     unwraps Route Monitoring messages. --retry N survives collector
-//     restarts on socket feeds: redial with bounded exponential backoff,
-//     up to N consecutive failures, resuming at a record boundary.
+//     archives (a silent feed holds the frontier until --stall-timeout
+//     quarantines it). --bmp treats every feed as a BMP (RFC 7854)
+//     session and unwraps Route Monitoring messages. --retry N survives
+//     collector restarts on socket feeds: redial with bounded exponential
+//     backoff, up to N consecutive failures, resuming at a record
+//     boundary.
 //     --tolerant skips malformed records (counted) instead of aborting.
 //     --checkpoint PATH makes the session durable: a crash-safe snapshot
 //     of the full session (engines, announce-windows, watermarks, queue
@@ -207,7 +206,6 @@ int usage() {
       "       mlp_infer follow --config FILE [--threads N] [--batch N]\n"
       "                        [--min-duration S] [--assume-open]\n"
       "                        [--tolerant] [--window N] [--bmp]\n"
-      "                        [--merge watermark|concat] [--grace MS]\n"
       "                        [--retry N] [--snapshot-every N]\n"
       "                        [--chaos SEED[:PLAN]] [--no-supervision]\n"
       "                        [--stall-timeout MS] [--malformed-window N]\n"
@@ -630,17 +628,6 @@ int run_follow(int argc, char** argv, bool query_mode) {
       specs.push_back(std::move(spec));
     } else if (arg == "--bmp") {
       bmp = true;
-    } else if (arg == "--merge" && i + 1 < argc) {
-      const std::string policy = argv[++i];
-      if (policy == "watermark") {
-        config.merge = pipeline::MergePolicy::Watermark;
-      } else if (policy == "concat") {
-        config.merge = pipeline::MergePolicy::Concatenate;
-      } else {
-        return usage();
-      }
-    } else if (arg == "--grace" && i + 1 < argc) {
-      config.idle_feed_grace_ms = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--retry" && i + 1 < argc) {
       retry = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--chaos" && i + 1 < argc) {

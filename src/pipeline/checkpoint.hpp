@@ -47,7 +47,7 @@ class CheckpointError : public std::runtime_error {
 
 /// Bump when the LiveSession payload layout changes; a loader rejects
 /// versions it does not speak instead of misparsing them.
-constexpr std::uint32_t kCheckpointVersion = 2;  // v2: per-shard epoch counter
+constexpr std::uint32_t kCheckpointVersion = 3;  // v3: one merge policy
 
 /// CRC32C (Castagnoli polynomial, the iSCSI/ext4 checksum), software
 /// table implementation.

@@ -44,11 +44,8 @@ void FeedSupervisor::transition(FeedHealth to, std::string reason) {
 FeedSupervisor::Action FeedSupervisor::quarantine(std::string reason) {
   ++times_quarantined_;
   probation_clean_ = 0;
-  const bool dies =
-      !config_.allow_readmission ||
-      (config_.max_quarantines != 0 &&
-       times_quarantined_ >= config_.max_quarantines);
-  if (dies) {
+  if (config_.max_quarantines != 0 &&
+      times_quarantined_ >= config_.max_quarantines) {
     transition(FeedHealth::Dead, std::move(reason));
     return Action::Die;
   }

@@ -1,13 +1,12 @@
 // Per-feed health supervision for LiveSession lanes.
 //
-// PR 4-6 recovery is *local*: a malformed record resyncs, a dropped
-// connection redials, an idle feed parks. None of that notices a feed
-// that is PERSISTENTLY sick -- a lane resyncing forever, flapping past
-// its reconnect budget, or gone silent keeps consuming resources and,
-// without `idle_feed_grace_ms`, gates the cross-feed watermark frontier
-// indefinitely. FeedSupervisor is the layer above: a per-lane state
-// machine over error budgets that trades a sick feed's output for the
-// session's liveness.
+// Lane-level recovery is *local*: a malformed record resyncs, a dropped
+// connection redials. None of that notices a feed that is PERSISTENTLY
+// sick -- a lane resyncing forever, flapping past its reconnect budget,
+// or gone silent keeps consuming resources and gates the cross-feed
+// watermark frontier indefinitely. FeedSupervisor is the layer above: a
+// per-lane state machine over error budgets that trades a sick feed's
+// output for the session's liveness.
 //
 //     Healthy --> Degraded --> Quarantined --> Dead
 //        ^___________|  ^______(probation)|
@@ -20,13 +19,10 @@
 //                (sentinel published) so the merge frontier advances
 //                without it; bytes are still ingested and counted but
 //                observations are discarded. A probation run of clean
-//                records readmits the feed (sources reopen, Watermark
-//                policy only).
-//   Dead         terminal: quarantined too many times, readmission not
-//                possible (Concatenate drain order cannot rewind past a
-//                closed source), or an unrecoverable failure (reconnect
-//                budget exhausted, a fatal ingest error). Bytes are
-//                dropped at the door.
+//                records readmits the feed (sources reopen).
+//   Dead         terminal: quarantined max_quarantines times, or an
+//                unrecoverable failure (reconnect budget exhausted, a
+//                fatal ingest error). Bytes are dropped at the door.
 //
 // The supervisor itself is pure bookkeeping -- no locks, no clock, no
 // queue access. LiveSession feeds it events under the lane mutex and
@@ -79,8 +75,9 @@ struct SupervisorConfig {
   /// the feed. Half this budget marks it Degraded.
   std::size_t dirty_disconnect_budget = 8;
 
-  /// Quarantine entries after which the feed is Dead. 0 = never dies by
-  /// quarantine count alone.
+  /// Quarantine entries after which the feed is Dead (1 = the first
+  /// quarantine kills, no readmission). 0 = never dies by quarantine
+  /// count alone.
   std::size_t max_quarantines = 4;
   /// Clean records a Quarantined feed must produce, without a malformed
   /// record in between, to be readmitted. The same run length also clears
@@ -90,11 +87,6 @@ struct SupervisorConfig {
   /// Quarantine a feed with no ingest activity for this long on the
   /// session clock. 0 = stall watchdog off.
   std::uint64_t stall_timeout_ms = 0;
-
-  /// Whether a Quarantined feed may return to Healthy. LiveSession forces
-  /// this false under MergePolicy::Concatenate, where the drain cursor
-  /// cannot rewind past a closed source: quarantine escalates to Dead.
-  bool allow_readmission = true;
 };
 
 /// One recorded health transition.

@@ -28,7 +28,6 @@ void FeedHandle::feed(std::span<const std::uint8_t> chunk) {
   LiveSession::Lane& target = session_->lane(index_);
   target.last_activity_ms.store(session_->clock_->now_ms(),
                                 std::memory_order_relaxed);
-  session_->refresh_idle();
   session_->supervise_stalls();
   util::MutexLock lock(target.mutex);
   if (target.closed)
@@ -110,14 +109,9 @@ LiveSession::LiveSession(LiveConfig config,
       relationships_(std::move(relationships)),
       pool_(ThreadPool::resolve(config_.threads)) {
   if (config_.batch_size == 0) config_.batch_size = 1;
-  // Concatenate's drain cursor advances past a closed-and-drained source
-  // and cannot rewind, so a quarantined feed could never merge again:
-  // escalate quarantine to Dead instead of pretending otherwise.
-  if (config_.merge == MergePolicy::Concatenate)
-    config_.supervision.allow_readmission = false;
   shards_.reserve(contexts_->size());
   for (const core::IxpContext& context : *contexts_)
-    shards_.push_back(std::make_unique<Shard>(context, config_.merge));
+    shards_.push_back(std::make_unique<Shard>(context));
   // Publish epoch 1 (the empty state) per shard before any feed can
   // exist: epoch readers never observe a null snapshot.
   for (std::size_t i = 0; i < shards_.size(); ++i) publish_epoch(i);
@@ -296,42 +290,19 @@ LiveSession::epoch_snapshots() const {
 }
 
 void LiveSession::publish_watermark(Lane& target) {
-  if (config_.merge != MergePolicy::Watermark) return;
   const std::uint32_t clock = target.extractor.stream_time();
   if (clock <= target.watermark_published) return;
+  // The extractor's partial batches hold observations stamped below
+  // `clock`; push them before promising the merge that nothing below
+  // `clock` follows, or a pump could drain another feed's later
+  // observations ahead of them.
+  target.extractor.flush_batches();
   target.watermark_published = clock;
   for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
     shards_[shard]->queue.set_watermark(target.index, clock);
     // Raising this lane's watermark can lift the merge frontier past
     // other lanes' queued observations; make sure a pump notices.
     schedule_pump(shard);
-  }
-}
-
-void LiveSession::refresh_idle() {
-  if (config_.merge != MergePolicy::Watermark ||
-      config_.idle_feed_grace_ms == 0)
-    return;
-  util::MutexLock lock(feeds_mutex_);
-  refresh_idle_locked();
-}
-
-void LiveSession::refresh_idle_locked() {
-  if (config_.merge != MergePolicy::Watermark ||
-      config_.idle_feed_grace_ms == 0)
-    return;
-  const std::uint64_t now = clock_->now_ms();
-  for (auto& lane : feeds_) {
-    const std::uint64_t last =
-        lane->last_activity_ms.load(std::memory_order_relaxed);
-    const bool stale =
-        now > last && now - last > config_.idle_feed_grace_ms;
-    if (lane->idle.load(std::memory_order_relaxed) == stale) continue;
-    lane->idle.store(stale, std::memory_order_relaxed);
-    for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
-      shards_[shard]->queue.set_idle(lane->index, stale);
-      schedule_pump(shard);
-    }
   }
 }
 
@@ -393,8 +364,7 @@ void LiveSession::apply_supervision(Lane& target,
       if (!target.queues_closed) {
         target.queues_closed = true;
         for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
-          // The close sentinel: the lane stops constraining the frontier
-          // (Watermark) / the drain cursor steps over it (Concatenate),
+          // The close sentinel: the lane stops constraining the frontier,
           // and its already-queued observations become drainable.
           shards_[shard]->queue.close(target.index);
           schedule_pump(shard);
@@ -403,9 +373,7 @@ void LiveSession::apply_supervision(Lane& target,
       break;
     case FeedSupervisor::Action::Readmit:
       // Never resurrect a user-closed feed; readmission is only for
-      // supervision's own sentinels (and only under Watermark -- the
-      // supervisor cannot emit Readmit under Concatenate, where
-      // allow_readmission is forced off).
+      // supervision's own sentinels.
       if (target.queues_closed && !target.closed) {
         target.queues_closed = false;
         for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
@@ -530,9 +498,8 @@ void LiveSession::close_locked(Lane& target, std::size_t index) {
   target.closed = true;
   for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
     shards_[shard]->queue.close(index);
-    // Closing a source can unblock buffered batches (it stops
-    // constraining the watermark / later feeds become the in-order
-    // head); make sure a pump notices.
+    // Closing a source can unblock buffered observations (it stops
+    // constraining the watermark); make sure a pump notices.
     schedule_pump(shard);
   }
 }
@@ -585,7 +552,6 @@ FeedStats LiveSession::lane_stats(Lane& target) const {
   // the depth here composes with concurrent feeders.
   for (const auto& shard : shards_)
     stats.queue_depth += shard->queue.depth(target.index);
-  stats.idle = target.idle.load(std::memory_order_relaxed);
   stats.closed = target.closed;
   stats.passive = target.extractor.stats();
   stats.health = target.supervisor.health();
@@ -635,7 +601,7 @@ SessionTotals LiveSession::collect_totals_locked() {
     // constrains the frontier, and the published total must say so.
     const bool merging = stats.health == FeedHealth::Healthy ||
                          stats.health == FeedHealth::Degraded;
-    if (!stats.closed && !stats.idle && merging) {
+    if (!stats.closed && merging) {
       constrained = true;
       frontier = std::min(frontier, stats.watermark);
     }
@@ -652,7 +618,6 @@ LiveSnapshot LiveSession::snapshot() {
   // so after the batch flush and pool settle no producer can race the
   // engine reads below. wait_idle also rethrows anything a pump leaked.
   util::MutexLock feeds_lock(feeds_mutex_);
-  refresh_idle_locked();
   supervise_stalls_locked();
   LaneLockSet lane_locks(feeds_);
   for (auto& lane : feeds_) {
@@ -683,7 +648,7 @@ LiveResult LiveSession::finish() {
   util::MutexLock feeds_lock(feeds_mutex_);
   if (finished_.exchange(true, std::memory_order_acq_rel))
     throw InvalidArgument("live session: finish() already called");
-  // Close remaining feeds in add order (the cross-feed merge order).
+  // Close remaining feeds in add order.
   for (std::size_t i = 0; i < feeds_.size(); ++i) {
     Lane& target = *feeds_[i];
     util::MutexLock lane_lock(target.mutex);
@@ -733,7 +698,6 @@ std::vector<std::uint8_t> LiveSession::serialize_state() {
   pool_.wait_idle();
 
   ByteWriter writer;
-  writer.u8(static_cast<std::uint8_t>(config_.merge));
   writer.u32(static_cast<std::uint32_t>(contexts_->size()));
   for (const core::IxpContext& context : *contexts_)
     core::codec::write_string(writer, context.name);
@@ -748,9 +712,8 @@ std::vector<std::uint8_t> LiveSession::serialize_state() {
           "live session: BMP lane buffered a partial synthesized record");
     core::codec::write_string(writer, target.name);
     writer.u8(target.bmp ? 1 : 0);
-    writer.u8(static_cast<std::uint8_t>(
-        (target.closed ? 1 : 0) | (target.queues_closed ? 2 : 0) |
-        (target.idle.load(std::memory_order_relaxed) ? 4 : 0)));
+    writer.u8(static_cast<std::uint8_t>((target.closed ? 1 : 0) |
+                                        (target.queues_closed ? 2 : 0)));
     // The framer image at its acknowledged position: the buffered
     // partial tail is deliberately NOT serialized -- the resumed
     // transport re-delivers it from the acknowledged offset, which is
@@ -781,22 +744,15 @@ std::vector<std::uint8_t> LiveSession::serialize_state() {
   for (auto& shard : shards_) {
     shard->engine.serialize_state(writer);
     shard->queue.serialize_state(writer);
-    // The epoch counter rides along (kCheckpointVersion 2) so a resumed
-    // session keeps publishing ascending epochs instead of restarting at
-    // 1 and confusing readers that cache "newest epoch seen".
+    // The epoch counter rides along so a resumed session keeps
+    // publishing ascending epochs instead of restarting at 1 and
+    // confusing readers that cache "newest epoch seen".
     writer.u64(shard->epochs_published.load(std::memory_order_acquire));
   }
   return writer.take();
 }
 
 void LiveSession::apply_payload(ByteReader& reader, bool commit) {
-  const std::uint8_t policy = reader.u8();
-  if (policy > static_cast<std::uint8_t>(MergePolicy::Watermark))
-    throw ParseError("checkpoint: merge policy byte " +
-                     std::to_string(policy));
-  if (policy != static_cast<std::uint8_t>(config_.merge))
-    throw InvalidArgument(
-        "checkpoint: image was taken under a different merge policy");
   const std::size_t ixp_count =
       core::codec::read_count(reader, 2, "checkpoint IXP");
   if (ixp_count != contexts_->size())
@@ -835,7 +791,7 @@ void LiveSession::apply_payload(ByteReader& reader, bool commit) {
                             ") in the image, \"" + real.name +
                             "\" in the session");
     const std::uint8_t flags = reader.u8();
-    if (flags > 7)
+    if (flags > 3)
       throw ParseError("checkpoint: feed flags " + std::to_string(flags));
     const std::uint64_t mrt_acked = reader.u64();
     const std::uint64_t mrt_records = reader.u64();
@@ -879,7 +835,6 @@ void LiveSession::apply_payload(ByteReader& reader, bool commit) {
       real.supervisor.restore_state(reader);
       real.closed = (flags & 1) != 0;
       real.queues_closed = (flags & 2) != 0;
-      real.idle.store((flags & 4) != 0, std::memory_order_relaxed);
       real.watermark_published = watermark_published;
       real.clean_disconnects = clean_disconnects;
       real.dirty_disconnects = dirty_disconnects;
@@ -903,7 +858,7 @@ void LiveSession::apply_payload(ByteReader& reader, bool commit) {
     } else {
       core::MlpInferenceEngine engine((*contexts_)[i]);
       engine.restore_state(reader);
-      ObservationQueue queue(feeds_.size(), config_.merge);
+      ObservationQueue queue(feeds_.size());
       queue.restore_state(reader);
       reader.u64();  // epoch counter: any value is valid
     }
@@ -943,7 +898,7 @@ void LiveSession::restore_state(std::span<const std::uint8_t> payload) {
     target.records_framed.store(target.framer.records(),
                                 std::memory_order_relaxed);
     // The serialized activity stamp would be wall-clock time of a dead
-    // process: re-arm the idle/stall clocks at the resume instant.
+    // process: re-arm the stall clock at the resume instant.
     target.last_activity_ms.store(now, std::memory_order_relaxed);
     target.supervisor.note_activity(now);
   }

@@ -25,29 +25,20 @@
 //   MlpInferenceEngine::add on a thread pool (one pump per IXP)
 //
 // Multi-feed determinism: each feed is an independent ingest lane, so
-// per-feed engine add-order equals that feed's stream order. How lanes
-// merge is LiveConfig::merge:
-//
-//   MergePolicy::Watermark (default) -- each lane publishes its
-//   extractor's stream clock (the running max of consumed record
-//   timestamps) as a watermark after every chunk; the per-IXP queues
-//   drain observations strictly below the minimum watermark over open
-//   feeds, smallest (timestamp, feed index) first. The merged engine
-//   order is the unique stable timestamp merge of the per-feed
-//   observation sequences: a pure function of each feed's byte
-//   sequence, independent of arrival interleaving, chunking and thread
-//   count. Open-ended feeds merge continuously -- snapshot() reflects
-//   cross-feed observations mid-stream, no close() required. A feed
-//   that stalls holds the frontier back; LiveConfig::idle_feed_grace
-//   lets the session park such a feed (its watermark stops counting)
-//   until it speaks again, trading the determinism guarantee for
-//   liveness -- leave it 0 for reproducible runs.
-//
-//   MergePolicy::Concatenate -- the legacy strict source-index drain:
-//   the merged order is the concatenation in add_feed order, and a later
-//   feed's observations buffer until every earlier feed closes. Pinned
-//   by the archive-equivalence matrix tests; matches InferencePipeline
-//   over the same per-feed archives.
+// per-feed engine add-order equals that feed's stream order. Lanes merge
+// by timestamp watermark: after every chunk that advances its
+// extractor's stream clock (the running max of consumed record
+// timestamps), a lane pushes the extractor's partial batches and then
+// publishes the clock as its watermark; the per-IXP queues drain
+// observations strictly below the minimum watermark over open feeds,
+// smallest (timestamp, feed index) first. The merged engine order is the
+// unique stable timestamp merge of the per-feed observation sequences: a
+// pure function of each feed's byte sequence, independent of arrival
+// interleaving, chunking and thread count, and equal to InferencePipeline
+// over the same per-feed archives. Open-ended feeds merge continuously --
+// snapshot() reflects cross-feed observations mid-stream, no close()
+// required. A feed that goes silent holds the frontier back until the
+// stall watchdog (SupervisorConfig::stall_timeout_ms) quarantines it.
 //
 // BMP session state: a BMP lane surfaces RFC 7854 PeerUp/PeerDown
 // messages as session boundaries -- the lane's extractor tears down the
@@ -60,10 +51,10 @@
 // sliding window, consecutive dirty disconnects, a stall watchdog on the
 // injected LiveConfig::clock. A lane quarantined or dead by those budgets
 // publishes its queue close sentinels, so a persistently sick feed can
-// never gate the Concatenate drain order or the Watermark frontier: the
-// healthy feeds keep merging (graceful degradation). Quarantined lanes
-// still ingest -- their observations are discarded -- and earn
-// readmission by a probation run of clean records (Watermark only).
+// never gate the watermark frontier: the healthy feeds keep merging
+// (graceful degradation). Quarantined lanes still ingest -- their
+// observations are discarded -- and earn readmission by a probation run
+// of clean records.
 //
 // Threading: feed() calls on ONE lane must be serialized, but different
 // lanes may be driven from different threads concurrently (each reader
@@ -159,20 +150,9 @@ struct LiveConfig {
   stream::MrtFramer::Config framing;
   /// Read-buffer size used by drain().
   std::size_t read_chunk = 65536;
-  /// Cross-feed merge policy (see file comment).
-  MergePolicy merge = MergePolicy::Watermark;
-  /// Watermark policy only: a feed with no ingest for this many
-  /// milliseconds of wall time stops constraining the merge frontier
-  /// until it speaks again (checked on every feed()/snapshot()). 0
-  /// disables the check -- fully deterministic, but one stalled feed
-  /// freezes cross-feed draining at its last watermark.
-  std::uint64_t idle_feed_grace_ms = 0;
   /// Per-feed health supervision budgets (see feed_supervisor.hpp).
-  /// Under MergePolicy::Concatenate the session forces
-  /// allow_readmission = false: the drain cursor cannot rewind past a
-  /// closed source, so quarantine escalates straight to Dead.
   SupervisorConfig supervision;
-  /// Session time source: paces idle parking and the stall watchdog.
+  /// Session time source: paces the stall watchdog.
   /// Null means the process SystemClock; tests inject a VirtualClock to
   /// replay stall scenarios deterministically.
   std::shared_ptr<stream::Clock> clock;
@@ -211,7 +191,6 @@ struct FeedStats {
   /// This feed's observations queued but not yet merged into the
   /// engines, summed over IXPs -- its share of the merge backlog.
   std::size_t queue_depth = 0;
-  bool idle = false;   // parked by idle_feed_grace_ms right now
   bool closed = false;
   core::PassiveStats passive;       // this feed's extraction counters
   // Health supervision (see feed_supervisor.hpp).
@@ -233,13 +212,12 @@ struct SessionTotals {
   std::uint64_t records = 0;
   std::size_t records_skipped = 0;
   /// The cross-feed merge frontier: minimum watermark over open,
-  /// non-idle feeds. 0 when no feed has seen a timestamp yet;
-  /// UINT32_MAX once every feed is closed (nothing constrains the
-  /// merge). Meaningful under MergePolicy::Watermark.
+  /// merging feeds. 0 when no feed has seen a timestamp yet; UINT32_MAX
+  /// once every feed is closed (nothing constrains the merge).
   std::uint32_t min_watermark = 0;
   /// Observations sitting in the per-IXP queues, not yet merged into the
   /// engines (summed over feeds and IXPs): the merge backlog behind a
-  /// lagging watermark / an undrained Concatenate source.
+  /// lagging watermark.
   std::size_t queue_depth = 0;
   core::PassiveStats passive;
   std::vector<FeedStats> per_feed;  // in add_feed order
@@ -302,8 +280,7 @@ class FeedHandle {
 
   /// End of this feed's stream: flush its announce-window and partial
   /// batches, and close its source slot in every IXP queue so it stops
-  /// constraining the merge (Watermark) / later feeds become drainable
-  /// (Concatenate). feed() afterwards throws. Idempotent.
+  /// constraining the merge. feed() afterwards throws. Idempotent.
   void close();
 
   std::size_t index() const { return index_; }
@@ -341,13 +318,13 @@ class LiveSession {
   std::uint64_t drain(stream::StreamSource& source)
       MLP_EXCLUDES(feeds_mutex_);
 
-  /// Point-in-time stats + per-IXP link counts. Reflects every record
-  /// fed so far (under Watermark: every observation below the merge
-  /// frontier); callable while other threads keep feeding (they block
-  /// on their lane for the duration of the flush). Publishes a fresh
-  /// epoch per shard at the settled point, so the returned counts and
-  /// concurrent epoch_snapshot() readers agree. For a query path that
-  /// must not stop the world, read epoch_snapshot() instead.
+  /// Point-in-time stats + per-IXP link counts. Reflects every
+  /// observation below the merge frontier; callable while other threads
+  /// keep feeding (they block on their lane for the duration of the
+  /// flush). Publishes a fresh epoch per shard at the settled point, so
+  /// the returned counts and concurrent epoch_snapshot() readers agree.
+  /// For a query path that must not stop the world, read
+  /// epoch_snapshot() instead.
   LiveSnapshot snapshot() MLP_EXCLUDES(feeds_mutex_);
 
   /// End of stream: close every remaining feed (announce-window flush,
@@ -456,9 +433,9 @@ class LiveSession {
     /// Mirror of framer.records(), published after every feed so
     /// records() can pace snapshots without taking lane mutexes.
     std::atomic<std::uint64_t> records_framed{0};
-    /// Idle tracking (lock-free: read by other feeds' refresh_idle).
+    /// Stall-watchdog activity stamp (lock-free: read by other feeds'
+    /// supervise_stalls sweeps).
     std::atomic<std::uint64_t> last_activity_ms{0};
-    std::atomic<bool> idle{false};
     /// Highest watermark pushed to the queues.
     std::uint32_t watermark_published MLP_GUARDED_BY(mutex) = 0;
     std::uint64_t clean_disconnects MLP_GUARDED_BY(mutex) = 0;
@@ -480,8 +457,8 @@ class LiveSession {
   /// One IXP's inference lane: a multi-source queue (source == feed)
   /// feeding an engine, drained by at most one pump task at a time.
   struct Shard {
-    Shard(core::IxpContext context, MergePolicy policy)
-        : queue(0, policy), engine(std::move(context)) {}
+    explicit Shard(core::IxpContext context)
+        : queue(0), engine(std::move(context)) {}
     ObservationQueue queue;
     core::MlpInferenceEngine engine;
     /// Owner flag of the pump task (the engine is not thread-safe).
@@ -543,13 +520,10 @@ class LiveSession {
   void drain_framer(Lane& target) MLP_REQUIRES(target.mutex);
   void close_locked(Lane& target, std::size_t index)
       MLP_REQUIRES(target.mutex);
-  /// Push the lane's stream clock to every shard queue as its merge
-  /// watermark (Watermark policy only).
+  /// When the lane's stream clock advanced: push the extractor's partial
+  /// batches, then the clock to every shard queue as the lane's merge
+  /// watermark.
   void publish_watermark(Lane& target) MLP_REQUIRES(target.mutex);
-  /// Watermark + idle_feed_grace_ms only: park/readmit feeds by wall-
-  /// clock staleness.
-  void refresh_idle() MLP_EXCLUDES(feeds_mutex_);
-  void refresh_idle_locked() MLP_REQUIRES(feeds_mutex_);
   /// Stall watchdog sweep (supervision.stall_timeout_ms only): atomically
   /// pre-checks every lane's last-activity stamp and quarantines stalled
   /// ones, taking stale lanes' mutexes one at a time (never while a

@@ -9,8 +9,21 @@
 
 namespace mlp::pipeline {
 
-ObservationQueue::ObservationQueue(std::size_t n_sources, MergePolicy policy)
-    : policy_(policy), sources_(n_sources), open_count_(n_sources) {}
+namespace {
+
+/// Drainable: strictly below the frontier (a source may still emit AT
+/// its own watermark, so ties with it must wait) -- except under the
+/// UINT32_MAX sentinel (no open source), which admits everything.
+bool below_frontier(std::uint32_t timestamp, std::uint32_t frontier) {
+  return frontier == std::numeric_limits<std::uint32_t>::max() ||
+         timestamp < frontier;
+}
+
+}  // namespace
+
+ObservationQueue::ObservationQueue(std::size_t n_sources,
+                                   MergePolicy /*policy*/)
+    : sources_(n_sources), open_count_(n_sources) {}
 
 std::size_t ObservationQueue::add_source() {
   util::MutexLock lock(mutex_);
@@ -22,26 +35,23 @@ std::size_t ObservationQueue::add_source() {
 void ObservationQueue::push(std::size_t source,
                             std::vector<core::Observation> batch) {
   if (batch.empty()) return;
+  bool drainable = false;
   {
     util::MutexLock lock(mutex_);
     if (source >= sources_.size())
       throw InvalidArgument("observation queue: bad source index");
-    if (policy_ == MergePolicy::Watermark) {
-      auto& pending = sources_[source].pending;
-      pending.insert(pending.end(),
-                     std::make_move_iterator(batch.begin()),
-                     std::make_move_iterator(batch.end()));
-    } else {
-      sources_[source].batches.push_back(std::move(batch));
-      if (source != cursor_) return;  // consumer is not waiting on this
-    }
+    drainable = below_frontier(batch.front().timestamp, min_watermark_locked());
+    auto& pending = sources_[source].pending;
+    pending.insert(pending.end(), std::make_move_iterator(batch.begin()),
+                   std::make_move_iterator(batch.end()));
   }
-  ready_.notify_one();
+  // A batch at or above the frontier gives a blocked pop() nothing to
+  // take; the watermark or close that releases it notifies instead.
+  if (drainable) ready_.notify_one();
 }
 
 void ObservationQueue::set_watermark(std::size_t source,
                                      std::uint32_t watermark) {
-  if (policy_ != MergePolicy::Watermark) return;
   {
     util::MutexLock lock(mutex_);
     if (source >= sources_.size())
@@ -49,17 +59,6 @@ void ObservationQueue::set_watermark(std::size_t source,
     Source& entry = sources_[source];
     if (watermark <= entry.watermark) return;  // monotone
     entry.watermark = watermark;
-  }
-  ready_.notify_one();
-}
-
-void ObservationQueue::set_idle(std::size_t source, bool idle) {
-  if (policy_ != MergePolicy::Watermark) return;
-  {
-    util::MutexLock lock(mutex_);
-    if (source >= sources_.size())
-      throw InvalidArgument("observation queue: bad source index");
-    sources_[source].idle = idle;
   }
   ready_.notify_one();
 }
@@ -80,9 +79,6 @@ void ObservationQueue::close(std::size_t source) {
 void ObservationQueue::reopen(std::size_t source) {
   {
     util::MutexLock lock(mutex_);
-    if (policy_ != MergePolicy::Watermark)
-      throw InvalidArgument(
-          "observation queue: reopen() requires the Watermark policy");
     if (source >= sources_.size())
       throw InvalidArgument("observation queue: bad source index");
     if (sources_[source].closed) {
@@ -97,21 +93,17 @@ std::uint32_t ObservationQueue::min_watermark_locked() const {
   std::uint32_t min = std::numeric_limits<std::uint32_t>::max();
   bool constrained = false;
   for (const Source& source : sources_) {
-    if (source.closed || source.idle) continue;
+    if (source.closed) continue;
     constrained = true;
     if (source.watermark < min) min = source.watermark;
   }
-  // No open non-idle source: nothing can emit below any timestamp, so
-  // everything queued is drainable (the sentinel max).
+  // No open source: nothing can emit below any timestamp, so everything
+  // queued is drainable (the sentinel max).
   return constrained ? min : std::numeric_limits<std::uint32_t>::max();
 }
 
 bool ObservationQueue::merge_pop_locked(std::vector<core::Observation>& out) {
-  // Eligible: strictly below the min watermark (a source may still emit
-  // AT its own watermark, so ties with the watermark must wait) -- except
-  // when nothing constrains, where the sentinel admits everything.
   const std::uint32_t min = min_watermark_locked();
-  const bool drain_all = min == std::numeric_limits<std::uint32_t>::max();
   out.clear();
   for (;;) {
     std::size_t best = sources_.size();
@@ -120,7 +112,7 @@ bool ObservationQueue::merge_pop_locked(std::vector<core::Observation>& out) {
       const auto& pending = sources_[i].pending;
       if (pending.empty()) continue;
       const std::uint32_t ts = pending.front().timestamp;
-      if (!drain_all && ts >= min) continue;
+      if (!below_frontier(ts, min)) continue;
       if (best == sources_.size() || ts < best_ts) {
         best = i;  // equal timestamps: lowest source index wins
         best_ts = ts;
@@ -134,64 +126,30 @@ bool ObservationQueue::merge_pop_locked(std::vector<core::Observation>& out) {
   return !out.empty();
 }
 
-bool ObservationQueue::ordered_pop_locked(
-    std::vector<core::Observation>& out) {
-  while (cursor_ < sources_.size()) {
-    Source& source = sources_[cursor_];
-    if (!source.batches.empty()) {
-      out = std::move(source.batches.front());
-      source.batches.pop_front();
-      return true;
-    }
-    if (!source.closed) break;
-    ++cursor_;
-  }
-  return false;
-}
-
 bool ObservationQueue::try_pop(std::vector<core::Observation>& out) {
   util::MutexLock lock(mutex_);
-  if (policy_ == MergePolicy::Watermark) return merge_pop_locked(out);
-  return ordered_pop_locked(out);
+  return merge_pop_locked(out);
 }
 
 bool ObservationQueue::has_ready() {
   util::MutexLock lock(mutex_);
-  if (policy_ == MergePolicy::Watermark) {
-    const std::uint32_t min = min_watermark_locked();
-    const bool drain_all =
-        min == std::numeric_limits<std::uint32_t>::max();
-    for (const Source& source : sources_) {
-      if (source.pending.empty()) continue;
-      if (drain_all || source.pending.front().timestamp < min) return true;
-    }
-    return false;
-  }
-  // Walk like try_pop (every source before a non-empty one must already
-  // be closed and drained) without advancing the cursor.
-  for (std::size_t i = cursor_; i < sources_.size(); ++i) {
-    if (!sources_[i].batches.empty()) return true;
-    if (!sources_[i].closed) return false;
-  }
+  const std::uint32_t min = min_watermark_locked();
+  for (const Source& source : sources_)
+    if (!source.pending.empty() &&
+        below_frontier(source.pending.front().timestamp, min))
+      return true;
   return false;
 }
 
 std::uint32_t ObservationQueue::min_watermark() {
   util::MutexLock lock(mutex_);
-  // Concatenate sources publish no watermarks, so every source reads as
-  // an unconstrained 0 there; report the sentinel instead of a bogus 0.
-  if (policy_ != MergePolicy::Watermark)
-    return std::numeric_limits<std::uint32_t>::max();
   return min_watermark_locked();
 }
 
 std::size_t ObservationQueue::depth() {
   util::MutexLock lock(mutex_);
   std::size_t total = 0;
-  for (const Source& source : sources_) {
-    total += source.pending.size();
-    for (const auto& batch : source.batches) total += batch.size();
-  }
+  for (const Source& source : sources_) total += source.pending.size();
   return total;
 }
 
@@ -199,64 +157,39 @@ std::size_t ObservationQueue::depth(std::size_t source) {
   util::MutexLock lock(mutex_);
   if (source >= sources_.size())
     throw InvalidArgument("observation queue: bad source index");
-  std::size_t total = sources_[source].pending.size();
-  for (const auto& batch : sources_[source].batches) total += batch.size();
-  return total;
+  return sources_[source].pending.size();
 }
 
 void ObservationQueue::serialize_state(ByteWriter& writer) {
   util::MutexLock lock(mutex_);
   writer.u32(static_cast<std::uint32_t>(sources_.size()));
   for (const Source& source : sources_) {
-    writer.u8(static_cast<std::uint8_t>((source.idle ? 1 : 0) |
-                                        (source.closed ? 2 : 0)));
+    writer.u8(source.closed ? 1 : 0);
     writer.u32(source.watermark);
     writer.u32(static_cast<std::uint32_t>(source.pending.size()));
     for (const core::Observation& observation : source.pending)
       core::codec::write_observation(writer, observation);
-    writer.u32(static_cast<std::uint32_t>(source.batches.size()));
-    for (const auto& batch : source.batches) {
-      writer.u32(static_cast<std::uint32_t>(batch.size()));
-      for (const core::Observation& observation : batch)
-        core::codec::write_observation(writer, observation);
-    }
   }
-  writer.u32(static_cast<std::uint32_t>(cursor_));
 }
 
 void ObservationQueue::restore_state(ByteReader& reader) {
   // Parse the full image into locals first: a ParseError anywhere must
   // leave the queue exactly as it was.
   const std::size_t count =
-      core::codec::read_count(reader, 13, "queue source");
+      core::codec::read_count(reader, 9, "queue source");
   std::vector<Source> sources(count);
   for (Source& source : sources) {
-    const std::uint8_t flags = reader.u8();
-    if (flags > 3)
+    const std::uint8_t closed = reader.u8();
+    if (closed > 1)
       throw ParseError("checkpoint: queue source flags " +
-                       std::to_string(flags));
-    source.idle = (flags & 1) != 0;
-    source.closed = (flags & 2) != 0;
+                       std::to_string(closed));
+    source.closed = closed != 0;
     source.watermark = reader.u32();
     const std::size_t pending =
         core::codec::read_count(reader, 14, "queued observation");
     for (std::size_t i = 0; i < pending; ++i)
       source.pending.push_back(core::codec::read_observation(reader));
-    const std::size_t batches =
-        core::codec::read_count(reader, 4, "queued batch");
-    for (std::size_t b = 0; b < batches; ++b) {
-      const std::size_t size =
-          core::codec::read_count(reader, 14, "batched observation");
-      std::vector<core::Observation> batch;
-      batch.reserve(size);
-      for (std::size_t i = 0; i < size; ++i)
-        batch.push_back(core::codec::read_observation(reader));
-      source.batches.push_back(std::move(batch));
-    }
   }
-  const std::size_t cursor = reader.u32();
-  if (cursor > count)
-    throw ParseError("checkpoint: queue cursor past the source count");
 
   {
     util::MutexLock lock(mutex_);
@@ -266,7 +199,6 @@ void ObservationQueue::restore_state(ByteReader& reader) {
                        std::to_string(sources_.size()) +
                        " registered feeds");
     sources_ = std::move(sources);
-    cursor_ = cursor;
     open_count_ = 0;
     for (const Source& source : sources_)
       if (!source.closed) ++open_count_;
@@ -277,13 +209,8 @@ void ObservationQueue::restore_state(ByteReader& reader) {
 bool ObservationQueue::pop(std::vector<core::Observation>& out) {
   util::MutexLock lock(mutex_);
   for (;;) {
-    if (policy_ == MergePolicy::Watermark) {
-      if (merge_pop_locked(out)) return true;
-      if (open_count_ == 0) return false;  // closed and fully drained
-    } else {
-      if (ordered_pop_locked(out)) return true;
-      if (cursor_ == sources_.size()) return false;
-    }
+    if (merge_pop_locked(out)) return true;
+    if (open_count_ == 0) return false;  // closed and fully drained
     ready_.wait(mutex_);
   }
 }

@@ -2,26 +2,18 @@
 //
 // Observation order matters to the engine (a re-announcement replaces the
 // per-prefix policy), so concurrent producers cannot simply interleave.
-// Each producer owns a source index, and the consumer drains under one of
-// two deterministic policies:
-//
-//   Concatenate (default): strict source order -- source k+1 is served
-//   only after source k closed and drained. The archive pipeline's merge:
-//   results equal single-stream ingest of the per-source concatenation.
-//
-//   Watermark: a k-way timestamp merge. Every producer publishes a
-//   monotone watermark (its extractor's stream clock); the consumer may
-//   pop any observation strictly below the minimum watermark over open,
-//   non-idle sources, smallest (timestamp, source index) first with
-//   per-source FIFO for ties. Because each source's observation
-//   timestamps are non-decreasing and a source never emits below its own
-//   watermark, the drained sequence is the unique stable merge of the
-//   per-source sequences -- a pure function of per-source contents, for
-//   any arrival interleaving. Open-ended sources therefore merge
-//   continuously instead of buffering until close.
-//
-// Either way the inferred link set is byte-identical for any thread
-// count while extraction overlaps inference.
+// Each producer owns a source index, and the consumer drains one
+// deterministic k-way timestamp merge: every producer publishes a
+// monotone watermark (its extractor's stream clock); the consumer may pop
+// any observation strictly below the minimum watermark over open
+// sources, smallest (timestamp, source index) first with per-source FIFO
+// for ties. Because each source's observation timestamps are
+// non-decreasing and a source never emits below its own watermark, the
+// drained sequence is the unique stable merge of the per-source
+// sequences -- a pure function of per-source contents, for any arrival
+// interleaving and thread count. Open-ended sources therefore merge
+// continuously instead of buffering until close; a source that publishes
+// no watermark holds the frontier at 0 until it closes.
 #pragma once
 
 #include <cstddef>
@@ -39,11 +31,11 @@ class ByteReader;
 
 namespace mlp::pipeline {
 
-/// Cross-source drain policy of an ObservationQueue (and of the live
-/// session built on top of it).
+/// The cross-source drain. The timestamp-watermark merge is the only
+/// one; this enum and the constructor parameter below stay solely
+/// because the end-to-end benchmark (perfbench/) constructs queues with
+/// them.
 enum class MergePolicy {
-  /// Strict source-index concatenation (the pinned legacy merge).
-  Concatenate,
   /// Deterministic k-way timestamp merge under per-source watermarks.
   Watermark,
 };
@@ -52,76 +44,65 @@ class ObservationQueue {
  public:
   /// `n_sources` producers, indexed [0, n_sources). May be 0 when every
   /// producer registers later through add_source (the live multi-feed
-  /// path).
+  /// path). The policy argument selects nothing (see MergePolicy).
   explicit ObservationQueue(std::size_t n_sources,
-                            MergePolicy policy = MergePolicy::Concatenate);
+                            MergePolicy policy = MergePolicy::Watermark);
 
   /// Register one more producer; returns its source index (registration
   /// order). Safe while consumers poll with try_pop/has_ready -- the new
   /// source simply extends the merge.
   std::size_t add_source();
 
-  /// Append one batch from `source`. Empty batches are dropped. Under
-  /// Watermark, observation timestamps must be non-decreasing per source
-  /// (the extractor clock guarantees it).
+  /// Append one batch from `source`. Empty batches are dropped.
+  /// Observation timestamps must be non-decreasing per source (the
+  /// extractor clock guarantees it).
   void push(std::size_t source, std::vector<core::Observation> batch);
 
-  /// Watermark policy: publish `source`'s monotone watermark -- a
-  /// promise that every future push from it carries timestamps >= the
-  /// watermark. Raising it can make other sources' observations
-  /// drainable. Ignored under Concatenate.
+  /// Publish `source`'s monotone watermark -- a promise that every
+  /// future push from it carries timestamps >= the watermark. Raising it
+  /// can make other sources' observations drainable.
   void set_watermark(std::size_t source, std::uint32_t watermark);
-
-  /// Watermark policy: exclude/readmit `source` from the minimum-
-  /// watermark computation (a stalled feed must not freeze the merge).
-  /// An idle source's queued observations still drain in timestamp
-  /// order. Ignored under Concatenate.
-  void set_idle(std::size_t source, bool idle);
 
   /// Mark `source` finished; it stops constraining the merge and its
   /// remaining observations become drainable.
   void close(std::size_t source);
 
-  /// Watermark policy: undo a close() -- the source constrains the merge
-  /// again and may push again (a quarantined feed readmitted after
-  /// probation). Its watermark survives the round trip, so the monotone
-  /// promise to the merge is unbroken. Throws InvalidArgument under
-  /// Concatenate: the drain cursor may already have advanced past the
-  /// source, and a position in a concatenation cannot be re-occupied.
+  /// Undo a close() -- the source constrains the merge again and may
+  /// push again (a quarantined feed readmitted after probation). Its
+  /// watermark survives the round trip, so the monotone promise to the
+  /// merge is unbroken.
   void reopen(std::size_t source);
 
   /// Blocking pop of the next ready batch. Returns false once every
   /// source is closed and drained.
   [[nodiscard]] bool pop(std::vector<core::Observation>& out);
 
-  /// Non-blocking pop: false when nothing is ready right now (in-order
-  /// source empty / everything above the watermark), whether or not more
-  /// input may still arrive. Live consumers poll with this instead of
-  /// parking in pop() on a queue that only closes at end of session.
+  /// Non-blocking pop: false when nothing is ready right now (everything
+  /// queued is at or above the frontier), whether or not more input may
+  /// still arrive. Live consumers poll with this instead of parking in
+  /// pop() on a queue that only closes at end of session.
   [[nodiscard]] bool try_pop(std::vector<core::Observation>& out);
 
   /// True when try_pop would return a batch.
   [[nodiscard]] bool has_ready();
 
-  /// The current merge frontier: minimum watermark over open, non-idle
-  /// sources, UINT32_MAX when nothing constrains the drain (every source
-  /// closed/idle, or Concatenate policy). Everything strictly below it
-  /// has been handed to the consumer or is about to be; the observability
-  /// hook the query server pairs with an epoch's backlog gauge.
+  /// The current merge frontier: minimum watermark over open sources,
+  /// UINT32_MAX when nothing constrains the drain (every source closed).
+  /// Everything strictly below it has been handed to the consumer or is
+  /// about to be; the observability hook the query server pairs with an
+  /// epoch's backlog gauge.
   std::uint32_t min_watermark();
 
-  /// Observations queued but not yet drained, summed over sources (batch
-  /// contents counted individually). The merge-backlog gauge: under
-  /// Watermark it is what sits at or above the frontier waiting for a
-  /// lagging feed.
+  /// Observations queued but not yet drained, summed over sources. The
+  /// merge-backlog gauge: what sits at or above the frontier waiting for
+  /// a lagging feed.
   std::size_t depth();
   /// One producer's share of depth().
   std::size_t depth(std::size_t source);
 
   /// Checkpoint hook: persist every source's queued-but-undrained
-  /// observations, watermark and idle/closed flags, plus the Concatenate
-  /// drain cursor. The drained prefix lives in the engine; this is
-  /// exactly the remainder above the merge frontier.
+  /// observations, watermark and closed flag. The drained prefix lives in
+  /// the engine; this is exactly the remainder above the merge frontier.
   void serialize_state(ByteWriter& writer);
 
   /// Checkpoint hook: replace the per-source state with a serialized
@@ -134,32 +115,23 @@ class ObservationQueue {
 
  private:
   struct Source {
-    /// Concatenate: pushed batches, drained front to back.
-    std::deque<std::vector<core::Observation>> batches;
-    /// Watermark: pushed observations flattened to per-source FIFO.
+    /// Pushed observations flattened to per-source FIFO.
     std::deque<core::Observation> pending;
     std::uint32_t watermark = 0;
-    bool idle = false;
     bool closed = false;
   };
 
-  /// Minimum watermark over open, non-idle sources; UINT32_MAX sentinel
-  /// (drain everything) when no source constrains.
+  /// Minimum watermark over open sources; UINT32_MAX sentinel (drain
+  /// everything) when no source constrains.
   std::uint32_t min_watermark_locked() const MLP_REQUIRES(mutex_);
   /// Fill `out` with the watermark-eligible merge front; false when none
   /// is eligible.
   bool merge_pop_locked(std::vector<core::Observation>& out)
       MLP_REQUIRES(mutex_);
-  /// Concatenate-policy pop.
-  bool ordered_pop_locked(std::vector<core::Observation>& out)
-      MLP_REQUIRES(mutex_);
 
   util::Mutex mutex_;
   util::CondVar ready_;
-  const MergePolicy policy_;  // immutable after construction: lock-free
   std::vector<Source> sources_ MLP_GUARDED_BY(mutex_);
-  /// Concatenate: first source not yet drained.
-  std::size_t cursor_ MLP_GUARDED_BY(mutex_) = 0;
   std::size_t open_count_ MLP_GUARDED_BY(mutex_) = 0;
 };
 

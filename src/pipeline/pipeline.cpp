@@ -185,9 +185,11 @@ PipelineResult InferencePipeline::run() {
   // unconditionally, even on a decode error, so consumers always finish.
   // Extraction runs in streaming mode: the sink pushes each full batch
   // into its IXP's queue mid-decode (the extractor's dense IXP index is
-  // the add_ixp registration order, i.e. the queue index), so inference
-  // starts while the archive is still being decoded and no task holds
-  // more than O(batch x IXPs) observations.
+  // the add_ixp registration order, i.e. the queue index), so no task
+  // materializes a whole archive. It also raises the source's watermark
+  // in that queue, so update streams are inferred while they decode;
+  // table dumps and paths stay at timestamp 0 and drain once every
+  // source closed.
   for (std::size_t s = 0; s < n_sources; ++s) {
     pool.submit([this, s, contexts, &queues, &source_stats, &error] {
       Feed& feed = feeds_[s];
@@ -201,7 +203,12 @@ PipelineResult InferencePipeline::run() {
           extractor.set_sink(
               [&queues, s](std::size_t ixp,
                            std::vector<core::Observation>&& batch) {
+                // The extractor clock is monotone, so this IXP's later
+                // observations from source s carry timestamps at or above
+                // the batch's last one: that is s's watermark there.
+                const std::uint32_t watermark = batch.back().timestamp;
                 queues[ixp]->push(s, std::move(batch));
+                queues[ixp]->set_watermark(s, watermark);
               },
               config_.batch_size);
           switch (feed.kind) {
@@ -229,7 +236,7 @@ PipelineResult InferencePipeline::run() {
     });
   }
 
-  // Consumers: one per IXP. Drain the ordered queue into the engine,
+  // Consumers: one per IXP. Drain the merged queue into the engine,
   // then survey the LG for members passive data did not cover
   // (equation 2), then infer links.
   for (std::size_t i = 0; i < n_ixps; ++i) {

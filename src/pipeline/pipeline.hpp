@@ -7,10 +7,11 @@
 //   MRT archives / raw paths / pre-attributed observations   (sources)
 //        |  one streaming PassiveExtractor task per source, in parallel;
 //        |  batches are pushed mid-decode (mrt::MrtCursor + sink mode),
-//        |  so decode overlaps inference and no task ever materializes a
-//        |  whole archive
+//        |  so no task ever materializes a whole archive and update
+//        |  streams are inferred while they decode
 //        v
-//   per-IXP ObservationQueue (ordered by source index: deterministic)
+//   per-IXP ObservationQueue (timestamp-watermark merge, ties by source
+//        |  index: deterministic)
 //        |  one consumer task per IXP, in parallel
 //        v
 //   MlpInferenceEngine::add -> active LG survey for uncovered members
@@ -20,8 +21,12 @@
 //   join: global link set, merged PassiveStats/EngineStats, optional
 //   IRR reciprocity validation pass
 //
-// The link sets are byte-identical for any thread count: sources merge in
-// submission order and each IXP's engine consumes them in that order.
+// The link sets are byte-identical for any thread count: each IXP's engine
+// consumes the stable merge of the per-source observation sequences by
+// timestamp, ties in submission order -- the same merge LiveSession runs
+// over the same bytes fed as concurrent feeds. Table dumps and raw paths
+// carry timestamp 0 (the extractor clock moves only on update records),
+// so they merge in submission order.
 #pragma once
 
 #include <cstddef>

@@ -1,11 +1,14 @@
 #include "pipeline/query_server.hpp"
 
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <charconv>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "core/engine_snapshot.hpp"
@@ -24,6 +27,30 @@ std::vector<std::string> tokenize(const std::string& line) {
   std::string token;
   while (in >> token) tokens.push_back(std::move(token));
   return tokens;
+}
+
+/// Longest request line a well-formed request needs, newline excluded:
+/// the longest verb (`member`), an IXP name and two ASNs, single-spaced,
+/// plus the '\r' of a CRLF client.
+std::size_t max_request_line(const LiveSession& session) {
+  constexpr std::size_t kVerb = sizeof("member") - 1;
+  constexpr std::size_t kAsn = std::numeric_limits<std::uint32_t>::digits10 + 1;
+  std::size_t ixp = 0;
+  for (const auto& snap : session.epoch_snapshots())
+    ixp = std::max(ixp, snap->ixp().size());
+  return kVerb + 1 + ixp + 2 * (1 + kAsn) + 1;
+}
+
+/// Send one response line; false when the client has gone away.
+/// MSG_NOSIGNAL: a hung-up client must not raise SIGPIPE in the server.
+[[nodiscard]] bool write_line(int fd, std::string_view line) {
+  while (!line.empty()) {
+    const ssize_t n = ::send(fd, line.data(), line.size(), MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    line.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
 }
 
 bool parse_asn(const std::string& token, std::uint32_t& out) {
@@ -50,7 +77,7 @@ bool wait_readable(int fd, const std::atomic<bool>& stop) {
 }  // namespace
 
 QueryServer::QueryServer(const LiveSession& session, Options options)
-    : session_(session) {
+    : session_(session), max_line_(max_request_line(session)) {
   const stream::TcpListener listener = stream::open_tcp_listener(options.port);
   listener_fd_ = listener.fd;
   port_ = listener.port;
@@ -79,27 +106,30 @@ void QueryServer::serve() {
 }
 
 void QueryServer::serve_connection(int fd) {
+  // Holds at most max_line_ bytes between reads; `scanned` is the prefix
+  // already known to hold no newline, so each byte is searched once.
   std::string buffer;
+  std::size_t scanned = 0;
   std::uint8_t chunk[4096];
   while (!stop_.load(std::memory_order_acquire)) {
-    std::size_t newline;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
+    std::size_t newline = 0;
+    while ((newline = buffer.find('\n', scanned)) != std::string::npos) {
+      if (newline > max_line_) break;
       std::string line = buffer.substr(0, newline);
       buffer.erase(0, newline + 1);
+      scanned = 0;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line == "quit") {
-        static constexpr char kBye[] = "ok bye\n";
-        stream::write_all(fd, std::span<const std::uint8_t>(
-                                  reinterpret_cast<const std::uint8_t*>(kBye),
-                                  sizeof(kBye) - 1));
+        (void)write_line(fd, "ok bye\n");
         return;
       }
-      const std::string response = respond(line) + "\n";
       queries_.fetch_add(1, std::memory_order_relaxed);
-      stream::write_all(
-          fd, std::span<const std::uint8_t>(
-                  reinterpret_cast<const std::uint8_t*>(response.data()),
-                  response.size()));
+      if (!write_line(fd, respond(line) + "\n")) return;
+    }
+    scanned = buffer.size();
+    if (buffer.size() > max_line_) {
+      (void)write_line(fd, "err line too long\n");
+      return;
     }
     if (!wait_readable(fd, stop_)) return;
     const ssize_t n = ::read(fd, chunk, sizeof(chunk));

@@ -22,6 +22,11 @@
 //   member <ixp> <asn>         ok observed | ok unobserved | ok non-member
 //   quit                       ok bye (server closes the connection)
 //
+// A request line longer than the longest well-formed request (the
+// longest verb, the session's longest IXP name and two ASNs) is answered
+// with `err line too long` and the connection is closed, so a client that
+// never sends a newline cannot grow the server's memory.
+//
 // Epoch semantics: answers within one response line are consistent (they
 // come from one immutable snapshot), but two successive queries may read
 // different epochs -- clients needing a consistent multi-query view pin
@@ -34,6 +39,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -83,6 +89,8 @@ class QueryServer {
   std::string respond(const std::string& line) const;
 
   const LiveSession& session_;
+  /// Longest accepted request line, newline excluded.
+  const std::size_t max_line_;
   int listener_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> stop_{false};

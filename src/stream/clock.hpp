@@ -1,8 +1,8 @@
 // Injectable time source for the live front end.
 //
-// Wall-clock behaviour (idle-feed parking, the stall watchdog, chaos
-// stall faults, reconnect backoff pacing) is untestable against the real
-// clock: a test either sleeps for real or races the scheduler. Clock is
+// Wall-clock behaviour (the stall watchdog, chaos stall faults,
+// reconnect backoff pacing) is untestable against the real clock: a test
+// either sleeps for real or races the scheduler. Clock is
 // the seam -- production code holds a Clock and asks it for milliseconds;
 // tests substitute a VirtualClock they advance by hand, so a "feed went
 // silent for 30 seconds" scenario replays in microseconds and

@@ -168,10 +168,10 @@ void drive_supervisor(const std::uint8_t* data, std::size_t size) {
   config.quarantine_malformed_rate = 0.5;
   config.degraded_malformed_rate = 0.05;
   config.dirty_disconnect_budget = next_rand(state) % 5;
-  config.max_quarantines = next_rand(state) % 3;
   config.probation_records = next_rand(state) % 4;
   config.stall_timeout_ms = next_rand(state) % 50;
-  config.allow_readmission = next_rand(state) % 2 != 0;
+  // 1 makes the first quarantine lethal (no readmission).
+  config.max_quarantines = next_rand(state) % 3;
   FeedSupervisor supervisor(config);
 
   std::uint64_t now_ms = 0;

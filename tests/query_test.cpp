@@ -5,6 +5,7 @@
 // over loopback TCP.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -33,14 +34,32 @@ scenario::Scenario make_scenario(std::uint64_t seed = 515151) {
   return scenario::Scenario(params);
 }
 
-LiveConfig make_config(std::size_t threads,
-                       MergePolicy merge = MergePolicy::Concatenate) {
+/// The collector's update dump with record i restamped to base + i
+/// seconds. The dump stamps every record alike, and the watermark merge
+/// drains only below the feed's stream clock, so without advancing time
+/// nothing would reach the engines -- or publish an epoch -- before the
+/// feed closes.
+std::vector<std::uint8_t> advancing_updates(scenario::Scenario& s) {
+  constexpr std::uint32_t kBase = 1367366400;
+  auto data = s.collectors().front().update_dump(kBase);
+  std::uint32_t timestamp = kBase;
+  // MRT common header: u32 timestamp, u16 type, u16 subtype, u32 length.
+  for (std::size_t at = 0; at + 12 <= data.size(); ++timestamp) {
+    for (std::size_t b = 0; b < 4; ++b)
+      data[at + b] = static_cast<std::uint8_t>(timestamp >> (24 - 8 * b));
+    const std::size_t length = (std::size_t{data[at + 8]} << 24) |
+                               (std::size_t{data[at + 9]} << 16) |
+                               (std::size_t{data[at + 10]} << 8) |
+                               std::size_t{data[at + 11]};
+    at += 12 + length;
+  }
+  return data;
+}
+
+LiveConfig make_config(std::size_t threads) {
   LiveConfig config;
   config.threads = threads;
   config.batch_size = 64;
-  // Concatenate by default: no watermark gate, so observations reach the
-  // engines (and epochs advance) DURING ingest, not only at close.
-  config.merge = merge;
   return config;
 }
 
@@ -88,7 +107,7 @@ TEST(EpochPublishing, ConstructionPublishesEpochOne) {
 TEST(EpochPublishing, EpochsAdvanceMonotonicallyDuringIngest) {
   auto s = make_scenario();
   const auto ixps = s.ixp_contexts();
-  const auto data = s.collectors().front().update_dump(1367366400);
+  const auto data = advancing_updates(s);
 
   auto config = make_config(2);
   config.publish_every_batches = 1;  // publish as eagerly as possible
@@ -134,10 +153,10 @@ TEST(EpochPublishing, FinishPublishesTheFinalState) {
   auto s = make_scenario();
   const auto ixps = s.ixp_contexts();
   const auto data = s.collectors().front().update_dump(1367366400);
-  // Watermark policy here: the gate means most observations reach the
+  // The unbounded announce-window means most observations reach the
   // engines only at finish(), exactly the case where a stale published
   // epoch would be visible afterwards if finish() forgot to publish.
-  LiveSession session(make_config(1, MergePolicy::Watermark), ixps);
+  LiveSession session(make_config(1), ixps);
   feed_chunks(add_feed(session, "feed0"), data, 4096);
   const auto result = session.finish();
   ASSERT_EQ(result.per_ixp.size(), ixps.size());
@@ -202,7 +221,7 @@ TEST(EpochPublishing, LockFreeReadersRaceIngest) {
   // state is the sanitizer's to catch.
   auto s = make_scenario();
   const auto ixps = s.ixp_contexts();
-  const auto data = s.collectors().front().update_dump(1367366400);
+  const auto data = advancing_updates(s);
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     auto config = make_config(threads);
@@ -340,6 +359,9 @@ TEST(QueryServer, AnswersProtocolOverLoopback) {
                 "ok observed");
     }
     EXPECT_EQ(client.ask("link " + name + " 999999 999998"), "ok false");
+    // The longest well-formed request, CRLF-terminated, is still served.
+    EXPECT_EQ(client.ask("link " + name + " 4294967295 4294967295\r"),
+              "ok false");
     EXPECT_EQ(client.ask("member " + name + " 999999"), "ok non-member");
   }
 
@@ -363,13 +385,50 @@ TEST(QueryServer, AnswersProtocolOverLoopback) {
   (void)snap;
 }
 
+TEST(QueryServer, OverlongRequestLineIsRefusedAndClosed) {
+  // A client that never sends a newline must not grow the server's
+  // memory: past the longest well-formed request the server answers once
+  // and hangs up, then serves the next connection as usual.
+  auto s = make_scenario();
+  const auto ixps = s.ixp_contexts();
+  LiveSession session(make_config(1), ixps);
+  QueryServer server(session, QueryServer::Options{/*port=*/0});
+
+  const int fd = stream::tcp_connect("127.0.0.1", server.port());
+  std::thread sender([fd] {
+    const std::vector<std::uint8_t> junk(std::size_t{1} << 20, 'x');
+    std::size_t sent = 0;
+    while (sent < junk.size()) {
+      const ssize_t n = ::send(fd, junk.data() + sent, junk.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n <= 0) break;  // the server hung up
+      sent += static_cast<std::size_t>(n);
+    }
+  });
+  std::string response;
+  char byte = 0;
+  while (::read(fd, &byte, 1) == 1 && byte != '\n') response.push_back(byte);
+  EXPECT_EQ(response, "err line too long");
+  EXPECT_LE(::read(fd, &byte, 1), 0);  // EOF or reset: the server hung up
+  sender.join();
+  stream::close_fd(fd);
+
+  QueryClient client(server.port());
+  std::string expected_ixps = "ok " + std::to_string(ixps.size());
+  for (const auto& ixp : ixps) expected_ixps += " " + ixp.name;
+  EXPECT_EQ(client.ask("ixps"), expected_ixps);
+  EXPECT_EQ(client.ask("quit"), "ok bye");
+  server.stop();
+  (void)session.finish();
+}
+
 TEST(QueryServer, ServesDuringIngestAndMatchesFinalState) {
   // Queries answered while the feed thread ingests must be valid
   // (well-formed, internally consistent); after the final settle the
   // served numbers equal the session's own snapshot.
   auto s = make_scenario();
   const auto ixps = s.ixp_contexts();
-  const auto data = s.collectors().front().update_dump(1367366400);
+  const auto data = advancing_updates(s);
   auto config = make_config(2);
   config.publish_every_batches = 1;
   config.passive.max_pending_announcements = 50;

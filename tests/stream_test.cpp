@@ -4,7 +4,7 @@
 // chunk-boundary determinism guarantee (final link sets byte-identical
 // to archive ingest for every chunking of the same byte stream, across
 // thread counts), its multi-feed generalization (cross-feed merge ==
-// deterministic feed-order concatenation, for every interleaving), and
+// the archive pipeline's timestamp merge, for every interleaving), and
 // the committed golden-corpus fixtures under tests/data/.
 #include <gtest/gtest.h>
 
@@ -803,94 +803,12 @@ std::vector<std::size_t> cuts_for(std::span<const std::uint8_t> data,
   return fixed_cuts(data.size(), step);
 }
 
-TEST(LiveSession, MultiFeedMatrixMatchesConcatenatedArchiveIngest) {
-  // The PR-5 acceptance matrix: {1,2,4} feeds x {1B,7B,record-aligned}
-  // chunking x {1,4} threads, interleave order shuffled by seed. The
-  // final link sets must be byte-identical to single-stream archive
-  // ingest of the per-feed concatenation in add_feed order, for EVERY
-  // interleaving -- the cross-feed merge depends only on the per-feed
-  // byte sequences.
-  const auto ixps = two_ixps();
-  const core::PassiveConfig passive;
-  for (const std::size_t n_feeds : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}}) {
-    std::vector<std::vector<std::uint8_t>> streams;
-    std::vector<std::uint8_t> concat;
-    for (std::size_t f = 0; f < n_feeds; ++f) {
-      streams.push_back(synthetic_feed_stream(f, 30));
-      concat.insert(concat.end(), streams.back().begin(),
-                    streams.back().end());
-    }
-    const Reference ref = reference_run(ixps, concat, passive);
-    ASSERT_GT(ref.stats.observations, 0u);
-
-    for (const std::size_t step : {std::size_t{1}, std::size_t{7},
-                                   std::size_t{0}}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        for (const unsigned seed : {11u, 77u}) {
-          LiveConfig config;
-          // This matrix pins the PR-5 legacy semantics: strict add_feed
-          // source order, equal to archive ingest of the concatenation.
-          config.merge = pipeline::MergePolicy::Concatenate;
-          config.threads = threads;
-          config.passive = passive;
-          config.batch_size = 16;
-          LiveSession session(config, ixps);
-          std::vector<pipeline::FeedHandle> handles;
-          for (std::size_t f = 0; f < n_feeds; ++f)
-            handles.push_back(session.add_feed());
-
-          // Shuffled round-robin: next chunk of a random live feed.
-          struct FeedCursor {
-            std::span<const std::uint8_t> data;
-            std::vector<std::size_t> cuts;
-            std::size_t at = 0;     // byte position
-            std::size_t cut = 0;    // next cut index
-          };
-          std::vector<FeedCursor> cursors;
-          for (std::size_t f = 0; f < n_feeds; ++f)
-            cursors.push_back(
-                FeedCursor{streams[f], cuts_for(streams[f], step)});
-          std::mt19937 rng(seed);
-          std::vector<std::size_t> live;
-          for (std::size_t f = 0; f < n_feeds; ++f) live.push_back(f);
-          while (!live.empty()) {
-            const std::size_t pick = std::uniform_int_distribution<
-                std::size_t>(0, live.size() - 1)(rng);
-            const std::size_t f = live[pick];
-            FeedCursor& cursor = cursors[f];
-            const std::size_t end = cursor.cuts[cursor.cut++];
-            handles[f].feed(cursor.data.subspan(cursor.at,
-                                                end - cursor.at));
-            cursor.at = end;
-            if (cursor.cut == cursor.cuts.size())
-              live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
-          }
-
-          const LiveResult result = session.finish();
-          ASSERT_EQ(result.per_ixp.size(), ixps.size());
-          for (std::size_t i = 0; i < ixps.size(); ++i)
-            EXPECT_EQ(result.per_ixp[i].links, ref.links[i])
-                << n_feeds << " feeds, step " << step << ", threads "
-                << threads << ", seed " << seed << ", ixp " << i;
-          EXPECT_EQ(result.passive.paths_seen, ref.stats.paths_seen);
-          EXPECT_EQ(result.passive.observations, ref.stats.observations);
-          ASSERT_EQ(result.per_feed.size(), n_feeds);
-          for (std::size_t f = 0; f < n_feeds; ++f)
-            EXPECT_EQ(result.per_feed[f].records, 30u);
-        }
-      }
-    }
-  }
-}
-
 TEST(LiveSession, MultiFeedMatchesArchivePipelineOnScenarioSplit) {
-  // Stronger, fixture-independent form of the merge invariant: a live
-  // multi-feed session over ANY per-feed byte sequences equals
-  // InferencePipeline over the same sequences as update archives (the
-  // pipeline is per-archive extractors + strict source-order queues, by
-  // construction the same merge). Split a real scenario stream
-  // round-robin so feeds DO share (peer, prefix) keys.
+  // Fixture-independent form of the merge invariant: a live multi-feed
+  // session over ANY per-feed byte sequences equals InferencePipeline
+  // over the same sequences as update archives (the pipeline is
+  // per-archive extractors + the same watermark queues). Split a real
+  // scenario stream round-robin so feeds DO share (peer, prefix) keys.
   scenario::ScenarioParams params;
   params.topology.n_ases = 400;
   params.membership_scale = 0.15;
@@ -923,9 +841,6 @@ TEST(LiveSession, MultiFeedMatchesArchivePipelineOnScenarioSplit) {
   const auto want = pipe.run();
 
   LiveConfig config;
-  // InferencePipeline drains archives in add order; only the pinned
-  // Concatenate policy reproduces that merge for shared keys.
-  config.merge = pipeline::MergePolicy::Concatenate;
   config.threads = 4;
   LiveSession session(config, ixps);
   std::vector<pipeline::FeedHandle> handles;
@@ -1109,12 +1024,54 @@ TEST(LiveSession, WatermarkMergeDeterminismMatrix) {
   }
 }
 
+TEST(LiveSession, ArchivePipelineMatchesLiveOnReverseRegisteredFeeds) {
+  // Archive and live ingest run one merge. Registering the watermark
+  // fixture's feeds in reverse order puts the feed whose EXCLUDE(10)
+  // settles the contended key last at source index 0, so a source-order
+  // drain would let feed 0's open policy win and keep link {10,20};
+  // the timestamp merge applies that EXCLUDE last and drops the link.
+  // InferencePipeline over the per-feed archives must answer exactly
+  // what LiveSession answers over the same bytes as live feeds.
+  const auto ixps = two_ixps();
+  constexpr std::size_t kFeeds = 4;
+  std::vector<std::vector<std::uint8_t>> streams;
+  for (std::size_t f = kFeeds; f-- > 0;) {
+    std::vector<std::uint8_t> stream;
+    for (const auto& [ts, record] : watermark_feed_records(f))
+      stream.insert(stream.end(), record.begin(), record.end());
+    streams.push_back(std::move(stream));
+  }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    pipeline::PipelineConfig pipe_config;
+    pipe_config.threads = threads;
+    pipeline::InferencePipeline pipe(pipe_config);
+    for (const auto& ixp : ixps) pipe.add_ixp(ixp);
+    for (const auto& stream : streams) pipe.add_update_stream(stream);
+    const pipeline::PipelineResult archive = pipe.run();
+
+    LiveConfig config;
+    config.threads = threads;
+    LiveSession session(config, ixps);
+    std::vector<pipeline::FeedHandle> handles;
+    for (std::size_t f = 0; f < kFeeds; ++f)
+      handles.push_back(session.add_feed());
+    for (std::size_t f = 0; f < kFeeds; ++f) handles[f].feed(streams[f]);
+    const LiveResult live = session.finish();
+
+    ASSERT_EQ(archive.per_ixp.size(), live.per_ixp.size());
+    for (std::size_t i = 0; i < ixps.size(); ++i)
+      EXPECT_EQ(archive.per_ixp[i].links, live.per_ixp[i].links)
+          << "threads " << threads << ", ixp " << i;
+    EXPECT_EQ(archive.passive.observations, live.passive.observations);
+    EXPECT_EQ(live.per_ixp[0].links.count(bgp::AsLink(10, 20)), 0u);
+  }
+}
+
 TEST(LiveSession, WatermarkSnapshotSeesBothOpenFeedsMidStream) {
-  // The headline behavior change vs Concatenate: with two OPEN feeds
-  // (no close(), no finish()), snapshot() must already reflect
-  // observations from BOTH feeds -- the DE-CIX link {10,20} needs
-  // setter 20 from feed 0 AND setter 10 from feed 1, each settled by a
-  // withdrawal below the shared merge frontier.
+  // Continuous merging: with two OPEN feeds (no close(), no finish()),
+  // snapshot() must already reflect observations from BOTH feeds -- the
+  // DE-CIX link {10,20} needs setter 20 from feed 0 AND setter 10 from
+  // feed 1, each settled by a withdrawal below the shared merge frontier.
   const auto ixps = two_ixps();
   LiveConfig config;
   LiveSession session(config, ixps);
@@ -1134,6 +1091,9 @@ TEST(LiveSession, WatermarkSnapshotSeesBothOpenFeedsMidStream) {
       // this lane's watermark without settling anything new.
       keyed_record(2000, 5, "10.1.0.0/16", {5, 10, 20},
                    {Community(6695, 6695)}));
+  // Raising feed 0's watermark pushed its settled observation out of the
+  // lane's partial batch: it waits in the queue for feed 1's frontier.
+  EXPECT_EQ(session.merge_backlog(0), 1u);
   feed_records(
       feed1,
       keyed_record(1005, 7, "10.2.0.0/16", {7, 20, 10},
@@ -1226,7 +1186,7 @@ TEST(LiveSession, PeerDownEvictsPendingAnnouncements) {
 
 TEST(ObservationQueue, WatermarkGatesDrainByMinimumFrontier) {
   using core::Observation;
-  pipeline::ObservationQueue queue(2, pipeline::MergePolicy::Watermark);
+  pipeline::ObservationQueue queue(2);
   const auto obs = [](std::uint32_t ts, const char* prefix) {
     Observation o;
     o.setter = 20;
@@ -1255,26 +1215,21 @@ TEST(ObservationQueue, WatermarkGatesDrainByMinimumFrontier) {
   queue.set_watermark(1, 10);
   EXPECT_FALSE(queue.has_ready());
 
-  // Parking source 1 as idle removes its constraint; its own queued
-  // observations would still drain in timestamp order.
-  queue.set_idle(1, true);
-  ASSERT_TRUE(queue.try_pop(out));
-  EXPECT_EQ(out[0].timestamp, 300u);
-  queue.set_idle(1, false);
-
   // Close both: the sentinel frontier drains the remainder, and pop()
   // reports exhaustion.
   queue.push(1, {obs(400, "10.3.0.0/16")});
   queue.close(0);
   queue.close(1);
   ASSERT_TRUE(queue.pop(out));
-  EXPECT_EQ(out[0].timestamp, 400u);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].timestamp, 300u);
+  EXPECT_EQ(out[1].timestamp, 400u);
   EXPECT_FALSE(queue.pop(out));
 }
 
 TEST(ObservationQueue, WatermarkTiesBreakBySourceIndexThenFifo) {
   using core::Observation;
-  pipeline::ObservationQueue queue(3, pipeline::MergePolicy::Watermark);
+  pipeline::ObservationQueue queue(3);
   const auto obs = [](std::uint32_t ts, std::uint32_t setter) {
     Observation o;
     o.setter = setter;

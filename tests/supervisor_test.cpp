@@ -449,7 +449,7 @@ TEST(FeedSupervisor, DiesAfterMaxQuarantines) {
 TEST(FeedSupervisor, FirstQuarantineKillsWithoutReadmission) {
   auto config = tight_budgets();
   config.min_window_records = 2;
-  config.allow_readmission = false;
+  config.max_quarantines = 1;
   FeedSupervisor supervisor(config);
   (void)supervisor.note_record(true);
   EXPECT_EQ(supervisor.note_record(true), FeedSupervisor::Action::Die);
@@ -513,14 +513,8 @@ core::Observation make_obs(core::Asn setter, const char* prefix,
   return obs;
 }
 
-TEST(ObservationQueue, ReopenThrowsUnderConcatenate) {
-  ObservationQueue queue(2, MergePolicy::Concatenate);
-  queue.close(0);
-  EXPECT_THROW(queue.reopen(0), InvalidArgument);
-}
-
 TEST(ObservationQueue, ReopenRestoresWatermarkConstraint) {
-  ObservationQueue queue(2, MergePolicy::Watermark);
+  ObservationQueue queue(2);
   queue.push(0, {make_obs(10, "10.0.0.0/16", 50)});
   queue.set_watermark(0, 100);
   queue.set_watermark(1, 10);
@@ -538,17 +532,6 @@ TEST(ObservationQueue, ReopenRestoresWatermarkConstraint) {
   queue.set_watermark(0, 200);
   EXPECT_FALSE(queue.try_pop(batch));
   queue.set_watermark(1, 300);
-  EXPECT_TRUE(queue.try_pop(batch));
-}
-
-TEST(ObservationQueue, CloseSentinelUnblocksConcatenateCursor) {
-  // The graceful-degradation requirement under Concatenate: a dead
-  // earlier source must not buffer later sources forever.
-  ObservationQueue queue(2, MergePolicy::Concatenate);
-  queue.push(1, {make_obs(10, "10.0.0.0/16", 5)});
-  std::vector<core::Observation> batch;
-  EXPECT_FALSE(queue.try_pop(batch));
-  queue.close(0);
   EXPECT_TRUE(queue.try_pop(batch));
 }
 
@@ -645,41 +628,6 @@ TEST(LiveSupervision, DeadFeedNeverGatesTheWatermarkFrontier) {
   EXPECT_EQ(changes[0].feed, 1u);
   EXPECT_EQ(changes[0].name, "sick");
   EXPECT_EQ(changes[0].to, FeedHealth::Dead);
-}
-
-TEST(LiveSupervision, ConcatenateForcesDeathAndUnblocksLaterFeeds) {
-  // Under Concatenate the drain cursor cannot rewind past a closed
-  // source, so the session forces allow_readmission = false: the first
-  // quarantine goes straight to Dead (even with max_quarantines = 4),
-  // its close sentinel publishes, and the later feed drains.
-  const auto ixps = two_ixps();
-  std::vector<std::vector<std::uint8_t>> good;
-  for (int i = 0; i < 30; ++i)
-    good.push_back(update_record(1000 + i, "10." + std::to_string(i) +
-                                               ".0.0/16",
-                                 i % 2 == 1));
-  LiveConfig config;
-  config.merge = MergePolicy::Concatenate;
-  config.passive.tolerate_malformed = true;
-  config.supervision = lethal_budgets();
-  config.supervision.max_quarantines = 4;  // readmission gone regardless
-  LiveSession session(config, ixps);
-  FeedOptions sick_options;
-  sick_options.name = "sick";
-  auto sick_handle = session.add_feed(sick_options);  // feed 0: gates feed 1
-  auto good_handle = session.add_feed();
-  for (int i = 0; i < 6; ++i) sick_handle.feed(malformed_record(2000 + i));
-  for (const auto& record : good) good_handle.feed(record);
-  auto snap = session.snapshot();
-  EXPECT_EQ(snap.per_feed[0].health, FeedHealth::Dead);
-  EXPECT_EQ(snap.per_feed[0].times_quarantined, 1u);
-  ASSERT_EQ(snap.per_feed[0].transitions.size(), 1u);
-  EXPECT_EQ(snap.per_feed[0].transitions[0].from, FeedHealth::Healthy);
-  EXPECT_EQ(snap.per_feed[0].transitions[0].to, FeedHealth::Dead);
-  const auto result = session.finish();
-  const auto ref = reference_links(ixps, concat(good), config.passive);
-  for (std::size_t i = 0; i < ixps.size(); ++i)
-    EXPECT_EQ(result.per_ixp[i].links, ref[i]) << ixps[i].name;
 }
 
 TEST(LiveSupervision, StrictParseErrorPublishesCloseSentinel) {
