@@ -1,5 +1,6 @@
 #include "core/passive.hpp"
 
+#include <bit>
 #include <iterator>
 #include <utility>
 
@@ -33,10 +34,19 @@ PassiveExtractor::PassiveExtractor(std::vector<IxpContext> ixps,
 PassiveExtractor::PassiveExtractor(
     std::shared_ptr<const std::vector<IxpContext>> ixps,
     bgp::RelFn relationships, PassiveConfig config)
-    : ixps_(std::move(ixps)),
+    : PassiveExtractor(
+          std::make_shared<const AttributionIndex>(std::move(ixps)),
+          std::move(relationships), config) {}
+
+PassiveExtractor::PassiveExtractor(
+    std::shared_ptr<const AttributionIndex> attribution,
+    bgp::RelFn relationships, PassiveConfig config)
+    : attribution_(std::move(attribution)),
       relationships_(std::move(relationships)),
-      config_(config),
-      by_ixp_(ixps_->size()) {}
+      config_(config) {
+  if (!attribution_) throw InvalidArgument("passive: null attribution index");
+  by_ixp_.resize(ixps().size());
+}
 
 void PassiveExtractor::set_sink(ObservationSink sink,
                                 std::size_t batch_size) {
@@ -50,34 +60,41 @@ std::size_t PassiveExtractor::attribute_ixps(
     const std::vector<Community>& communities) {
   attr_scratch_.clear();
   comm_scratch_.clear();
+  tagged_scratch_.clear();
+  const std::size_t words = attribution_->words();
+  mask_scratch_.assign((3 + communities.size()) * words, 0);
+  std::uint64_t* const candidates = mask_scratch_.data();
+  std::uint64_t* const vetoed = candidates + words;
+  std::uint64_t* const rs_encoded = vetoed + words;
+  std::uint64_t* tags = rs_encoded + words;
+  for (const Community community : communities) {
+    if (!attribution_->match(community, tags, vetoed, rs_encoded)) continue;
+    for (std::size_t w = 0; w < words; ++w) candidates[w] |= tags[w];
+    tagged_scratch_.push_back(community);
+    tags += words;
+  }
+  // An IXP is a candidate when it tags some community and every peer the
+  // combination targets is one of its members (section 4.2's
+  // disambiguation rule).
   std::size_t strong = 0;  // attributions where a value encodes the RS ASN
-  for (std::size_t index = 0; index < ixps_->size(); ++index) {
-    const IxpContext& ixp = (*ixps_)[index];
-    Attribution attribution;
-    attribution.ixp_index = index;
-    attribution.comm_begin = static_cast<std::uint32_t>(comm_scratch_.size());
-    bool peers_are_members = true;
-    for (const Community community : communities) {
-      Asn peer = 0;
-      const auto tag = ixp.scheme.classify(community, &peer);
-      if (tag == routeserver::CommunityTag::Unrelated) continue;
-      comm_scratch_.push_back(community);
-      if (ixp.scheme.encodes_rs_asn(community)) attribution.rs_encoded = true;
-      if ((tag == routeserver::CommunityTag::Exclude ||
-           tag == routeserver::CommunityTag::Include) &&
-          !ixp.is_member(peer))
-        peers_are_members = false;
+  const std::uint64_t* const rows = rs_encoded + words;
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t left = candidates[w] & ~vetoed[w]; left != 0;
+         left &= left - 1) {
+      const int bit = std::countr_zero(left);
+      const std::uint64_t mask = std::uint64_t{1} << bit;
+      Attribution attribution;
+      attribution.ixp_index = w * 64 + static_cast<std::size_t>(bit);
+      attribution.comm_begin =
+          static_cast<std::uint32_t>(comm_scratch_.size());
+      for (std::size_t k = 0; k < tagged_scratch_.size(); ++k)
+        if (rows[k * words + w] & mask)
+          comm_scratch_.push_back(tagged_scratch_[k]);
+      attribution.comm_end = static_cast<std::uint32_t>(comm_scratch_.size());
+      attribution.rs_encoded = (rs_encoded[w] & mask) != 0;
+      if (attribution.rs_encoded) ++strong;
+      attr_scratch_.push_back(attribution);
     }
-    attribution.comm_end = static_cast<std::uint32_t>(comm_scratch_.size());
-    if (attribution.comm_end == attribution.comm_begin) continue;
-    // The combination of targeted ASes must all be members of the IXP
-    // (section 4.2's disambiguation rule).
-    if (!peers_are_members) {
-      comm_scratch_.resize(attribution.comm_begin);
-      continue;
-    }
-    if (attribution.rs_encoded) ++strong;
-    attr_scratch_.push_back(attribution);
   }
   return strong;
 }
@@ -173,7 +190,7 @@ void PassiveExtractor::consume_path(const AsPath& path,
     // With any strong candidate present, the weak ones are superseded.
     if (strong > 0 && !attribution.rs_encoded) continue;
     const Asn setter =
-        identify_setter(path, (*ixps_)[attribution.ixp_index]);
+        identify_setter(path, ixps()[attribution.ixp_index]);
     if (setter == 0) continue;
     Observation observation;
     observation.setter = setter;
@@ -234,38 +251,45 @@ void PassiveExtractor::settle(const PendingKey& key, const Pending& entry,
 }
 
 void PassiveExtractor::evict_pending(std::uint32_t now) {
-  // Drop stale FIFO fronts (their announcement was withdrawn or replaced)
-  // so the deque stays proportional to the live window.
-  auto stale = [this](const std::pair<PendingKey, std::uint32_t>& front) {
-    const auto it = pending_.find(front.first);
-    return it == pending_.end() ||
-           it->second.announced_at != front.second;
+  // The window entry a FIFO record stands for, or end() when the record is
+  // stale (its announcement was withdrawn, replaced or torn down).
+  const auto live =
+      [this](const std::pair<PendingKey, std::uint32_t>& record) {
+        const auto it = pending_.find(record.first);
+        return it != pending_.end() && it->second.announced_at == record.second
+                   ? it
+                   : pending_.end();
+      };
+  // Drop stale FIFO fronts so the deque stays proportional to the live
+  // window; `front` ends as the live entry of the first surviving record.
+  auto front = pending_.end();
+  const auto skip_stale = [&] {
+    while (!pending_fifo_.empty() &&
+           (front = live(pending_fifo_.front())) == pending_.end())
+      pending_fifo_.pop_front();
   };
-  while (!pending_fifo_.empty() && stale(pending_fifo_.front()))
-    pending_fifo_.pop_front();
+  skip_stale();
   // A long-lived announcement stuck at the front shields stale entries
   // behind it from the pop loop; once they are the majority, compact in
   // place (order-preserving, amortized O(1) per update since at most
-  // pending_.size() entries survive).
+  // pending_.size() entries survive). The front record is live, so it
+  // stays the front.
   if (pending_fifo_.size() > 2 * pending_.size() + 16) {
-    std::deque<std::pair<PendingKey, std::uint32_t>> live;
-    for (auto& entry : pending_fifo_)
-      if (!stale(entry)) live.push_back(std::move(entry));
-    pending_fifo_ = std::move(live);
+    std::deque<std::pair<PendingKey, std::uint32_t>> kept;
+    for (auto& record : pending_fifo_)
+      if (live(record) != pending_.end()) kept.push_back(std::move(record));
+    pending_fifo_ = std::move(kept);
   }
   if (config_.max_pending_announcements == 0) return;
-  while (pending_.size() > config_.max_pending_announcements) {
+  while (pending_.size() > config_.max_pending_announcements &&
+         front != pending_.end()) {
     // The window is full: the oldest standing announcement is settled
     // as if the observation period ended for it now.
-    const auto [key, announced_at] = pending_fifo_.front();
     pending_fifo_.pop_front();
-    const auto it = pending_.find(key);
-    if (it == pending_.end() || it->second.announced_at != announced_at)
-      continue;  // stale entry
-    settle(key, it->second, now);
-    pending_.erase(it);
-    while (!pending_fifo_.empty() && stale(pending_fifo_.front()))
-      pending_fifo_.pop_front();
+    settle(front->first, front->second, now);
+    pending_.erase(front);
+    front = pending_.end();
+    skip_stale();
   }
 }
 
@@ -281,18 +305,13 @@ void PassiveExtractor::consume_update(std::uint32_t timestamp, Asn peer_asn,
   }
   for (const auto& prefix : update.nlri) {
     const auto key = std::make_pair(peer_asn, prefix);
-    auto it = pending_.find(key);
-    if (it != pending_.end()) {
-      // Re-announcement: the earlier version lived long enough only if
-      // it aged past the threshold.
-      settle(key, it->second, timestamp);
-      it->second.announced_at = timestamp;
-      it->second.path = update.attrs.as_path;
-      it->second.communities = update.attrs.communities;
-    } else {
-      pending_.emplace(key, Pending{timestamp, update.attrs.as_path,
-                                    update.attrs.communities});
-    }
+    const auto [it, fresh] = pending_.try_emplace(key);
+    // Re-announcement: the earlier version lived long enough only if it
+    // aged past the threshold.
+    if (!fresh) settle(key, it->second, timestamp);
+    it->second.announced_at = timestamp;
+    it->second.path = update.attrs.as_path;
+    it->second.communities = update.attrs.communities;
     pending_fifo_.emplace_back(key, timestamp);
   }
   evict_pending(timestamp);
@@ -367,7 +386,7 @@ PassiveExtractor::observations() {
     for (std::size_t index = 0; index < by_ixp_.size(); ++index) {
       auto& bucket = by_ixp_[index];
       if (bucket.empty()) continue;
-      auto& dst = observations_view_[(*ixps_)[index].name];
+      auto& dst = observations_view_[ixps()[index].name];
       if (dst.empty()) {
         dst = std::move(bucket);
       } else {

@@ -7,6 +7,16 @@
 // and pinpoints the RS setter using the membership cases 1-3, falling
 // back to AS relationships when a path holds more than two members.
 //
+// Attribution goes through a shared AttributionIndex (core/
+// attribution_index.hpp): per community, one lookup yields the IXPs whose
+// scheme tags it, the IXPs where it targets a non-member, and the IXPs
+// whose RS ASN it spells, as bit rows over all IXPs. An IXP is a
+// candidate when some community is tagged there and none is vetoed; the
+// candidates are visited in ascending IXP index, each with its tagged
+// communities in input order, so no per-IXP pass over the communities
+// exists. Build one index per context set and pass it to every extractor
+// over that set; the contexts-only constructors build a private one.
+//
 // Two consumption modes:
 //
 //   accumulate (default): observations collect internally, grouped per
@@ -27,7 +37,8 @@
 //
 // Like the inference engine, an extractor is deliberately NOT thread-safe
 // (scratch buffers are reused across consume calls); confine each
-// instance to one task.
+// instance to one task. The index it reads is immutable and may be shared
+// across threads.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +52,7 @@
 
 #include "bgp/valley.hpp"
 #include "bgp/wire.hpp"
+#include "core/attribution_index.hpp"
 #include "core/types.hpp"
 
 namespace mlp {
@@ -99,9 +111,16 @@ class PassiveExtractor {
   PassiveExtractor(std::vector<IxpContext> ixps, bgp::RelFn relationships,
                    PassiveConfig config = PassiveConfig{});
 
-  /// Shared-context overload: parallel extractors (one per archive in the
-  /// pipeline) reference one immutable IXP set instead of each copying it.
+  /// Shared-context overload: parallel extractors reference one immutable
+  /// IXP set instead of each copying it. Builds a private index.
   PassiveExtractor(std::shared_ptr<const std::vector<IxpContext>> ixps,
+                   bgp::RelFn relationships,
+                   PassiveConfig config = PassiveConfig{});
+
+  /// Shared-index overload: parallel extractors (one per archive in the
+  /// pipeline, one per live lane) reference one index, and through it one
+  /// IXP set, built once outside every ingest path.
+  PassiveExtractor(std::shared_ptr<const AttributionIndex> attribution,
                    bgp::RelFn relationships,
                    PassiveConfig config = PassiveConfig{});
 
@@ -179,7 +198,7 @@ class PassiveExtractor {
   /// The shared IXP context set; a streaming sink's dense index is the
   /// position in this vector.
   const std::shared_ptr<const std::vector<IxpContext>>& contexts() const {
-    return ixps_;
+    return attribution_->contexts();
   }
 
   /// Checkpoint hook: persist the stream clock, the consumption counters
@@ -210,8 +229,9 @@ class PassiveExtractor {
     bool rs_encoded = false;
   };
 
-  /// Attribute the RS communities on a route to candidate IXPs; fills
-  /// attr_scratch_/comm_scratch_ and returns the number of strong
+  /// Attribute the RS communities on a route to candidate IXPs through the
+  /// index; fills attr_scratch_/comm_scratch_ (ascending IXP index, each
+  /// IXP's communities in input order) and returns the number of strong
   /// (RS-encoded) attributions.
   std::size_t attribute_ixps(const std::vector<Community>& communities);
 
@@ -239,14 +259,18 @@ class PassiveExtractor {
   /// Enforce max_pending_announcements after an insertion.
   void evict_pending(std::uint32_t now);
 
-  std::shared_ptr<const std::vector<IxpContext>> ixps_;
+  const std::vector<IxpContext>& ixps() const {
+    return *attribution_->contexts();
+  }
+
+  std::shared_ptr<const AttributionIndex> attribution_;
   bgp::RelFn relationships_;
   PassiveConfig config_;
   PassiveStats stats_;
   /// Stream clock: running max of consumed record/event timestamps.
   std::uint32_t clock_ = 0;
 
-  /// Per-IXP observation buffers, dense-indexed in ixps_ order. In
+  /// Per-IXP observation buffers, dense-indexed in ixps() order. In
   /// accumulate mode this is the full product; in streaming mode, the
   /// partial batches not yet emitted.
   std::vector<std::vector<Observation>> by_ixp_;
@@ -266,6 +290,10 @@ class PassiveExtractor {
   // Reusable per-path scratch (why consume calls are not thread-safe).
   std::vector<Attribution> attr_scratch_;
   std::vector<Community> comm_scratch_;
+  std::vector<Community> tagged_scratch_;   // communities some IXP tags
+  /// Candidate, vetoed and RS-encoded rows, then one tag row per entry of
+  /// tagged_scratch_ (AttributionIndex::words() words each).
+  std::vector<std::uint64_t> mask_scratch_;
   std::vector<Asn> flat_scratch_;           // deduplicated path
   std::vector<std::uint32_t> member_pos_scratch_;
 };

@@ -106,6 +106,7 @@ LiveSession::LiveSession(LiveConfig config,
     : config_(std::move(config)),
       clock_(config_.clock ? config_.clock : stream::system_clock()),
       contexts_(share(std::move(ixps))),
+      attribution_(std::make_shared<const core::AttributionIndex>(contexts_)),
       relationships_(std::move(relationships)),
       pool_(ThreadPool::resolve(config_.threads)) {
   if (config_.batch_size == 0) config_.batch_size = 1;
@@ -125,7 +126,7 @@ FeedHandle LiveSession::add_feed(FeedOptions options) {
   // Queue source slots stay in lockstep with feed indices: every shard
   // grows exactly one source per add_feed, under the same lock.
   for (auto& shard : shards_) shard->queue.add_source();
-  auto lane = std::make_unique<Lane>(this, contexts_, relationships_,
+  auto lane = std::make_unique<Lane>(this, attribution_, relationships_,
                                      config_.passive);
   // The sink runs under the lane mutex (extractor calls happen there) but
   // NOT under feeds_mutex_, and feeds_ may reallocate concurrently: hold
@@ -842,7 +843,7 @@ void LiveSession::apply_payload(ByteReader& reader, bool commit) {
       real.bytes_discarded = bytes_discarded;
       real.observations_discarded = observations_discarded;
     } else {
-      core::PassiveExtractor extractor(contexts_, relationships_,
+      core::PassiveExtractor extractor(attribution_, relationships_,
                                        config_.passive);
       extractor.restore_state(reader);
       FeedSupervisor supervisor(config_.supervision);

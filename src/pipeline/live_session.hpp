@@ -409,10 +409,11 @@ class LiveSession {
   /// snapshot()/finish() can stop the world.
   struct Lane {
     Lane(LiveSession* session,
-         std::shared_ptr<const std::vector<core::IxpContext>> ixps,
+         std::shared_ptr<const core::AttributionIndex> attribution,
          bgp::RelFn relationships, const core::PassiveConfig& passive)
         : owner(session),
-          extractor(std::move(ixps), std::move(relationships), passive) {}
+          extractor(std::move(attribution), std::move(relationships),
+                    passive) {}
 
     /// Back-pointer anchoring the lock-order annotation on `mutex`.
     LiveSession* const owner;
@@ -556,6 +557,10 @@ class LiveSession {
   LiveConfig config_;
   std::shared_ptr<stream::Clock> clock_;  // config_.clock or SystemClock
   std::shared_ptr<const std::vector<core::IxpContext>> contexts_;
+  /// The one attribution index over contexts_, built in the constructor
+  /// and shared by every lane and by apply_payload's scratch extractor:
+  /// neither the feed path nor a restore ever builds one.
+  std::shared_ptr<const core::AttributionIndex> attribution_;
   bgp::RelFn relationships_;
   /// Guards feeds_ growth and finish(). Lock order: before any lane
   /// mutex (see Lane::mutex).

@@ -169,7 +169,8 @@ PipelineResult InferencePipeline::run() {
   std::vector<core::PassiveStats> source_stats(n_sources);
   ErrorSlot error;
 
-  // One immutable context set shared by every extraction task.
+  // One immutable context set, and one attribution index over it, shared
+  // by every extraction task.
   auto contexts = [this] {
     std::vector<core::IxpContext> out;
     out.reserve(ixps_.size());
@@ -177,6 +178,8 @@ PipelineResult InferencePipeline::run() {
     return std::make_shared<const std::vector<core::IxpContext>>(
         std::move(out));
   }();
+  const auto attribution =
+      std::make_shared<const core::AttributionIndex>(contexts);
 
   ThreadPool pool(ThreadPool::resolve(config_.threads));
 
@@ -191,14 +194,14 @@ PipelineResult InferencePipeline::run() {
   // table dumps and paths stay at timestamp 0 and drain once every
   // source closed.
   for (std::size_t s = 0; s < n_sources; ++s) {
-    pool.submit([this, s, contexts, &queues, &source_stats, &error] {
+    pool.submit([this, s, attribution, &queues, &source_stats, &error] {
       Feed& feed = feeds_[s];
       try {
         if (feed.kind == FeedKind::Preattributed) {
           push_batched(*queues[feed.target_ixp], s,
                        std::move(feed.observations), config_.batch_size);
         } else {
-          core::PassiveExtractor extractor(contexts, relationships_,
+          core::PassiveExtractor extractor(attribution, relationships_,
                                            config_.passive);
           extractor.set_sink(
               [&queues, s](std::size_t ixp,

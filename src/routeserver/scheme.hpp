@@ -88,8 +88,9 @@ class IxpCommunityScheme {
   CommunityTag classify(Community community, Asn* peer_out = nullptr) const;
 
   /// True if the community textually encodes the route-server ASN in
-  /// either half; the passive pipeline uses this to attribute communities
-  /// to an IXP (section 4.2).
+  /// either half: section 4.2's direct attribution rule, which the
+  /// passive pipeline applies to every IXP at once through
+  /// core::AttributionIndex.
   bool encodes_rs_asn(Community community) const;
 
   /// Validation hook: whether `asn` can appear as a peer target.

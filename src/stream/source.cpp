@@ -37,7 +37,9 @@ MemorySource::MemorySource(std::vector<std::uint8_t> data,
 std::size_t MemorySource::read(std::span<std::uint8_t> out) {
   const std::size_t n =
       std::min({out.size(), max_chunk_, data_.size() - pos_});
-  std::memcpy(out.data(), data_.data() + pos_, n);
+  // An empty source has no buffer: memcpy from a null pointer is
+  // undefined even for zero bytes.
+  if (n != 0) std::memcpy(out.data(), data_.data() + pos_, n);
   pos_ += n;
   return n;
 }

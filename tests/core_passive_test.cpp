@@ -58,6 +58,28 @@ TEST(Passive, DirectAttributionByRsAsn) {
   EXPECT_EQ(extractor.stats().observations, 1u);
 }
 
+TEST(Passive, SharedIndexServesEveryExtractorAndAnEmptySet) {
+  // Extractors over one shared index see the index's contexts.
+  const auto index = std::make_shared<const AttributionIndex>(
+      std::make_shared<const std::vector<IxpContext>>(two_ixps()));
+  PassiveExtractor a(index, nullptr);
+  PassiveExtractor b(index, nullptr);
+  EXPECT_EQ(a.contexts(), index->contexts());
+  EXPECT_EQ(b.contexts(), index->contexts());
+  a.consume_path(bgp::AsPath({5, 10, 20}), pfx("10.0.0.0/16"),
+                 {Community(6695, 6695)});
+  EXPECT_EQ(a.stats().observations, 1u);
+
+  // No IXPs: rows of zero words, and no community is an RS value.
+  PassiveExtractor none(std::vector<IxpContext>{}, nullptr);
+  none.consume_path(bgp::AsPath({5, 10, 20}), pfx("10.0.0.0/16"),
+                    {Community(6695, 6695), Community(0, 10)});
+  EXPECT_EQ(none.stats().paths_no_rs_values, 1u);
+  EXPECT_THROW(PassiveExtractor(std::shared_ptr<const AttributionIndex>{},
+                                nullptr),
+               InvalidArgument);
+}
+
 TEST(Passive, ExcludeOnlyDisambiguatedByMembership) {
   PassiveExtractor extractor(two_ixps(), nullptr);
   // 0:50 -- AS50 is only a member at MSK-IX, so the EXCLUDE-only set

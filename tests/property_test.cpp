@@ -2,10 +2,14 @@
 // the invariants the system's correctness rests on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "bgp/rib.hpp"
 #include "bgp/valley.hpp"
 #include "bgp/wire.hpp"
 #include "core/engine.hpp"
+#include "core/passive.hpp"
 #include "mrt/table_dump.hpp"
 #include "propagation/routing.hpp"
 #include "routeserver/route_server.hpp"
@@ -304,6 +308,314 @@ TEST_P(SeededProperty, IncrementalDeltaMatchesFromScratch) {
                 scratch.count_links(assume_open))
           << "after " << i + 1 << " observations, assume_open="
           << assume_open;
+    }
+  }
+}
+
+// ---- Attribution through the shared AttributionIndex equals the per-IXP
+// loop it replaced, on seeded IXP sets of 1 to 130 IXPs (one to three mask
+// words) over both scheme styles, with shared RS ASNs, RS ASNs that are
+// also member ASNs, aliased and unaliased 32-bit members, aliases of
+// non-members and private-range members.
+
+/// The per-IXP attribution loop the index replaced -- every IXP's scheme
+/// classifies every community -- followed by consume_path's candidate
+/// rules and setter cases 1-3. The reference for the index.
+class PerIxpLoopExtractor {
+ public:
+  PerIxpLoopExtractor(std::vector<core::IxpContext> ixps, bgp::RelFn rels)
+      : ixps_(std::move(ixps)),
+        rels_(std::move(rels)),
+        by_ixp(ixps_.size()) {}
+
+  void consume_path(const AsPath& path, const IpPrefix& prefix,
+                    const std::vector<Community>& communities) {
+    ++stats.paths_seen;
+    if (path.has_cycle() || path.has_reserved_asn()) {
+      ++stats.paths_dirty;
+      return;
+    }
+    struct Candidate {
+      std::size_t ixp = 0;
+      std::vector<Community> communities;
+      bool rs_encoded = false;
+    };
+    std::vector<Candidate> candidates;
+    std::size_t strong = 0;
+    for (std::size_t index = 0; index < ixps_.size(); ++index) {
+      const core::IxpContext& ixp = ixps_[index];
+      Candidate candidate;
+      candidate.ixp = index;
+      bool peers_are_members = true;
+      for (const Community community : communities) {
+        bgp::Asn peer = 0;
+        const auto tag = ixp.scheme.classify(community, &peer);
+        if (tag == routeserver::CommunityTag::Unrelated) continue;
+        candidate.communities.push_back(community);
+        if (ixp.scheme.encodes_rs_asn(community)) candidate.rs_encoded = true;
+        if ((tag == routeserver::CommunityTag::Exclude ||
+             tag == routeserver::CommunityTag::Include) &&
+            !ixp.is_member(peer))
+          peers_are_members = false;
+      }
+      if (candidate.communities.empty() || !peers_are_members) continue;
+      if (candidate.rs_encoded) ++strong;
+      candidates.push_back(std::move(candidate));
+    }
+    if (candidates.empty()) {
+      ++stats.paths_no_rs_values;
+      return;
+    }
+    if (strong == 0 && candidates.size() > 1) {
+      ++stats.paths_ambiguous_ixp;
+      return;
+    }
+    bool attributed = false;
+    for (Candidate& candidate : candidates) {
+      if (strong > 0 && !candidate.rs_encoded) continue;
+      const bgp::Asn setter = setter_of(path, ixps_[candidate.ixp]);
+      if (setter == 0) continue;
+      core::Observation observation;
+      observation.setter = setter;
+      observation.prefix = prefix;
+      observation.communities = std::move(candidate.communities);
+      by_ixp[candidate.ixp].push_back(std::move(observation));
+      ++stats.observations;
+      attributed = true;
+    }
+    if (!attributed) ++stats.paths_no_setter;
+  }
+
+ private:
+  bgp::Asn setter_of(const AsPath& path, const core::IxpContext& ixp) const {
+    std::vector<bgp::Asn> asns;
+    std::vector<std::size_t> members;
+    const AsPath flat = path.deduplicated();
+    for (const bgp::Asn asn : flat.asns()) {
+      if (ixp.is_member(asn)) members.push_back(asns.size());
+      asns.push_back(asn);
+    }
+    if (members.size() < 2) return 0;
+    if (members.size() == 2)
+      return members[1] == members[0] + 1 ? asns[members[1]] : 0;
+    if (!rels_) return 0;
+    bgp::Asn setter = 0;
+    for (std::size_t k = 0; k + 1 < members.size(); ++k) {
+      if (members[k + 1] != members[k] + 1) continue;
+      const auto rel = rels_(asns[members[k]], asns[members[k + 1]]);
+      if (!rel || *rel != bgp::Rel::P2P) continue;
+      if (setter != 0) return 0;
+      setter = asns[members[k + 1]];
+    }
+    return setter;
+  }
+
+  std::vector<core::IxpContext> ixps_;
+  bgp::RelFn rels_;
+
+ public:
+  std::vector<std::vector<core::Observation>> by_ixp;
+  core::PassiveStats stats;
+};
+
+std::vector<std::size_t> stats_fields(const core::PassiveStats& stats) {
+  return {stats.paths_seen,          stats.paths_dirty,
+          stats.paths_transient,     stats.paths_no_rs_values,
+          stats.paths_ambiguous_ixp, stats.paths_no_setter,
+          stats.observations,        stats.records_malformed,
+          stats.peer_session_resets, stats.pending_torn_down};
+}
+
+/// A seeded IXP set of `n` IXPs over a shared ASN universe small enough
+/// that most community values mean something at several IXPs at once.
+std::vector<core::IxpContext> random_ixp_set(Rng& rng, std::size_t n) {
+  std::vector<core::IxpContext> ixps;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<bgp::Asn> members;
+    const std::size_t size = rng.uniform(2, 24);
+    for (std::size_t k = 0; k < size; ++k) {
+      const double draw = rng.uniform01();
+      if (draw < 0.6) {
+        members.push_back(static_cast<bgp::Asn>(rng.uniform(1, 60)));
+      } else if (draw < 0.75) {
+        members.push_back(static_cast<bgp::Asn>(rng.uniform(1, 63000)));
+      } else if (draw < 0.85) {  // private range: only an alias reaches it
+        members.push_back(static_cast<bgp::Asn>(
+            rng.uniform(bgp::kPrivate16First, bgp::kPrivate16Last)));
+      } else {
+        members.push_back(static_cast<bgp::Asn>(rng.uniform(196608, 196640)));
+      }
+    }
+    bgp::Asn rs = 0;
+    const double draw = rng.uniform01();
+    if (draw < 0.25 && !ixps.empty()) {
+      rs = rng.pick(ixps).scheme.rs_asn();  // shared RS ASN
+    } else if (draw < 0.45) {
+      const bgp::Asn member = rng.pick(members);
+      rs = bgp::is_16bit(member) ? member : 6695;  // RS ASN == a member's
+    } else if (draw < 0.55) {
+      rs = static_cast<bgp::Asn>(
+          rng.uniform(bgp::kPrivate16First, bgp::kPrivate16Last));
+    } else {
+      rs = static_cast<bgp::Asn>(rng.uniform(1, 80));
+    }
+    core::IxpContext ixp;
+    ixp.name = "ixp" + std::to_string(i);
+    ixp.scheme = routeserver::IxpCommunityScheme::make(
+        ixp.name, rs,
+        rng.chance(0.5) ? routeserver::SchemeStyle::RsAsnBased
+                        : routeserver::SchemeStyle::PrivateRangeBased);
+    ixp.rs_members = util::FlatAsnSet(members);
+    // Alias most 32-bit members, and now and then a 32-bit non-member,
+    // into a narrow private window so aliases collide across IXPs.
+    std::vector<bgp::Asn> aliased;
+    for (const bgp::Asn member : ixp.rs_members)
+      if (bgp::is_32bit_only(member) && rng.chance(0.7))
+        aliased.push_back(member);
+    if (rng.chance(0.3))
+      aliased.push_back(static_cast<bgp::Asn>(rng.uniform(196641, 196660)));
+    for (const bgp::Asn member : aliased) {
+      for (int attempt = 0; attempt < 8; ++attempt) {
+        const auto alias = static_cast<std::uint16_t>(
+            rng.uniform(bgp::kPrivate16First, bgp::kPrivate16First + 40));
+        if (ixp.scheme.decode_peer(alias) || ixp.scheme.encode_peer(member))
+          continue;
+        ixp.scheme.add_alias(member, alias);
+        break;
+      }
+    }
+    ixps.push_back(std::move(ixp));
+  }
+  return ixps;
+}
+
+/// A community list mixing the IXPs' ALL, NONE, EXCLUDE and INCLUDE
+/// values -- mostly those of the `home` IXP -- with aliased and unaliased
+/// private low halves, RS-ASN halves, well-known values, duplicates and
+/// junk.
+std::vector<Community> random_communities(
+    Rng& rng, const std::vector<core::IxpContext>& ixps,
+    const core::IxpContext& home) {
+  std::vector<Community> out;
+  const std::size_t n = rng.uniform(0, 7);
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto& scheme = rng.chance(0.7) ? home.scheme : rng.pick(ixps).scheme;
+    const auto low = [&]() -> std::uint16_t {
+      const double draw = rng.uniform01();
+      if (draw < 0.4) {  // a home member, through its alias if it has one
+        const auto peer =
+            home.scheme.encode_peer(rng.pick(home.rs_members.values()));
+        if (peer) return *peer;
+      }
+      if (draw < 0.65) return static_cast<std::uint16_t>(rng.uniform(1, 60));
+      if (draw < 0.9)  // aliased or not, depending on the IXP
+        return static_cast<std::uint16_t>(
+            rng.uniform(bgp::kPrivate16First, bgp::kPrivate16First + 45));
+      return static_cast<std::uint16_t>(rng.uniform(0, 0xffff));
+    };
+    switch (rng.uniform(0, 8)) {
+      case 0:
+        out.push_back(scheme.all_community());
+        break;
+      case 1:
+        out.push_back(scheme.none_community());
+        break;
+      case 2:
+        out.push_back(Community(scheme.exclude_high(), low()));
+        break;
+      case 3:
+        out.push_back(Community(scheme.include_high(), low()));
+        break;
+      case 4:
+        out.push_back(Community(
+            static_cast<std::uint16_t>(scheme.rs_asn()), low()));
+        break;
+      case 5:
+        out.push_back(rng.chance(0.5) ? bgp::kNoExport : bgp::kNoAdvertise);
+        break;
+      case 6:
+        if (!out.empty()) {
+          out.push_back(rng.pick(out));  // duplicate
+          break;
+        }
+        [[fallthrough]];
+      default:
+        out.push_back(
+            Community(static_cast<std::uint16_t>(rng.uniform(0, 0xffff)),
+                      static_cast<std::uint16_t>(rng.uniform(0, 0xffff))));
+        break;
+    }
+  }
+  return out;
+}
+
+TEST_P(SeededProperty, AttributionIndexMatchesPerIxpLoop) {
+  Rng rng(GetParam() ^ 0xa771b);
+  // Deterministic pseudo-relationships so setter case 3 takes part.
+  const bgp::RelFn rels =
+      [](bgp::Asn a, bgp::Asn b) -> std::optional<bgp::Rel> {
+    switch ((a * 7 + b * 13) % 3) {
+      case 0:
+        return bgp::Rel::P2P;
+      case 1:
+        return bgp::Rel::C2P;
+      default:
+        return std::nullopt;
+    }
+  };
+  for (const std::size_t n : {1, 2, 13, 64, 65, 130}) {
+    const auto ixps = random_ixp_set(rng, n);
+    PerIxpLoopExtractor reference(ixps, rels);
+    core::PassiveExtractor extractor(ixps, rels);
+    std::vector<std::vector<core::Observation>> emitted(n);
+    extractor.set_sink(
+        [&emitted](std::size_t ixp, std::vector<core::Observation>&& batch) {
+          for (auto& observation : batch)
+            emitted[ixp].push_back(std::move(observation));
+        },
+        1);
+
+    for (int round = 0; round < 600; ++round) {
+      // A path over mostly one home IXP's members, so setters resolve
+      // there, carrying mostly that IXP's communities. Prepending is
+      // collapsed; a repeat (a cycle) or a private-range member makes the
+      // path dirty.
+      const core::IxpContext& home = rng.pick(ixps);
+      const auto& members = home.rs_members.values();
+      std::vector<bgp::Asn> asns;
+      const std::size_t length = rng.uniform(1, 5);
+      while (asns.size() < length) {
+        const bgp::Asn asn = rng.chance(0.85)
+                                 ? rng.pick(members)
+                                 : static_cast<bgp::Asn>(rng.uniform(1, 60));
+        if (std::find(asns.begin(), asns.end(), asn) != asns.end()) continue;
+        if (bgp::is_reserved_or_unassigned(asn) && rng.chance(0.8)) continue;
+        asns.push_back(asn);
+        if (rng.chance(0.1)) asns.push_back(asn);  // prepending
+      }
+      if (rng.chance(0.05)) asns.push_back(asns.front());  // cycle
+      const AsPath path(asns);
+      const IpPrefix prefix(
+          0x0A000000u + (static_cast<std::uint32_t>(round) << 8), 24);
+      const auto communities = random_communities(rng, ixps, home);
+      reference.consume_path(path, prefix, communities);
+      extractor.consume_path(path, prefix, communities);
+    }
+    extractor.finish();
+
+    EXPECT_EQ(stats_fields(extractor.stats()), stats_fields(reference.stats))
+        << n << " IXPs";
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(emitted[i].size(), reference.by_ixp[i].size())
+          << n << " IXPs, IXP " << i;
+      for (std::size_t k = 0; k < emitted[i].size(); ++k) {
+        const auto& got = emitted[i][k];
+        const auto& want = reference.by_ixp[i][k];
+        EXPECT_EQ(got.setter, want.setter) << n << " IXPs, IXP " << i;
+        EXPECT_EQ(got.prefix, want.prefix) << n << " IXPs, IXP " << i;
+        EXPECT_EQ(got.communities, want.communities)
+            << n << " IXPs, IXP " << i;
+      }
     }
   }
 }

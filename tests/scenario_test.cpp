@@ -99,6 +99,15 @@ TEST_F(ScenarioTest, ActiveSurveyRecoversGroundTruthExactly) {
   }
 }
 
+TEST_F(ScenarioTest, AttributionIndexOfTheRosterFitsOneWordAndOneMegabyte) {
+  auto& s = instance();
+  const core::AttributionIndex index(
+      std::make_shared<const std::vector<core::IxpContext>>(
+          s.ixp_contexts()));
+  EXPECT_EQ(index.words(), 1u);  // 13 IXPs: one 64-bit word per row
+  EXPECT_LT(index.memory_bytes(), std::size_t{1} << 20);
+}
+
 TEST_F(ScenarioTest, PassiveInferenceIsSubsetOfGroundTruth) {
   auto& s = instance();
   core::PassiveExtractor extractor(s.ixp_contexts(), s.truth_rel_fn());

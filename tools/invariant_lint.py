@@ -38,6 +38,16 @@ on the offending line or the line directly above):
                             must carry an explanatory comment on the same
                             line or within the 6 lines above: an
                             unexplained hole in the proof is a future bug.
+  shared-attribution-index  Every core::PassiveExtractor that src/pipeline
+                            constructs -- a local, a temporary, a
+                            make_unique/make_shared, or a member through
+                            its constructor's init list in the declaring
+                            file -- takes the context set's shared
+                            AttributionIndex as its first argument, named
+                            `*attribution*`. The contexts-only constructors
+                            build a private index per extractor: one build
+                            per lane or per restore, on paths that are
+                            timed (resume_ms) or must not stall.
   checkpoint-version-bump   (only with --base REF) If the diff against REF
                             changes serialized-payload encode/decode lines
                             in checkpoint.cpp/live_session.cpp without
@@ -74,6 +84,15 @@ COMMENT_RE = re.compile(r"^\s*//|//")
 
 ALLOWED_PUSH_SOURCES = {"source", "s", "index"}
 
+# First argument of a PassiveExtractor construction: a named local or
+# temporary, or make_unique/make_shared<PassiveExtractor>(...).
+EXTRACTOR_CTOR_RE = re.compile(
+    r"\bPassiveExtractor\s*(?:>\s*)?(?:[A-Za-z_]\w*\s*)?[({]\s*([^,)}]*)")
+# A PassiveExtractor member (or local) declared without arguments; its
+# construction is then an init-list entry `name(...)`.
+EXTRACTOR_MEMBER_RE = re.compile(
+    r"\bPassiveExtractor\s+([A-Za-z_]\w*)\s*(?:MLP_[A-Z_]+\([^)]*\)\s*)*;")
+
 
 class Finding:
     def __init__(self, rule: str, path: str, line: int, message: str):
@@ -106,6 +125,8 @@ def lint_file(rel: str, text: str) -> list[Finding]:
     is_header_or_source = rel.endswith((".hpp", ".cpp", ".h", ".cc"))
     if not is_header_or_source:
         return findings
+    extractor_members = {m.group(1) for m in EXTRACTOR_MEMBER_RE.finditer(
+        "\n".join(line.split("//", 1)[0] for line in lines))}
 
     for i, line in enumerate(lines):
         lineno = i + 1
@@ -140,6 +161,23 @@ def lint_file(rel: str, text: str) -> list[Finding]:
                         f"queue push under index '{first_arg}'; a producer may "
                         "only push under its own source index "
                         f"({'/'.join(sorted(ALLOWED_PUSH_SOURCES))})"))
+
+        if in_scope(rel, (PIPELINE_DIR,)):
+            first_args = [m.group(1) for m in EXTRACTOR_CTOR_RE.finditer(code)]
+            for member in extractor_members:
+                m = re.match(r"\s*[:,]?\s*" + re.escape(member) + r"\s*[({]\s*([^,)}]*)",
+                             code)
+                if m:
+                    first_args.append(m.group(1))
+            for first_arg in first_args:
+                if "attribution" not in first_arg and not allowed(
+                        lines, i, "shared-attribution-index"):
+                    findings.append(Finding(
+                        "shared-attribution-index", rel, lineno,
+                        f"PassiveExtractor built from '{first_arg.strip()}'; "
+                        "pass the context set's shared AttributionIndex "
+                        "(a contexts-only constructor builds one per "
+                        "extractor)"))
 
         if in_scope(rel, SHIM_DIRS):
             m = NAKED_MUTEX_RE.search(code)
@@ -250,6 +288,31 @@ SELF_TESTS = [
     ("escape-hatch-comment", "src/pipeline/x.cpp",
      "// Dynamic lock set: proven by assert_held at each use site.\n"
      "void f() MLP_NO_THREAD_SAFETY_ANALYSIS;\n", False),
+    ("shared-attribution-index", "src/pipeline/x.cpp",
+     "core::PassiveExtractor extractor(contexts_, relationships_,\n"
+     "                                 config_.passive);\n", True),
+    ("shared-attribution-index", "src/pipeline/x.cpp",
+     "core::PassiveExtractor extractor(attribution_, relationships_,\n"
+     "                                 config_.passive);\n", False),
+    ("shared-attribution-index", "src/pipeline/x.cpp",
+     "auto e = std::make_unique<core::PassiveExtractor>(ixps, rels);\n",
+     True),
+    ("shared-attribution-index", "src/pipeline/x.hpp",
+     "struct Lane {\n"
+     "  Lane(Contexts ixps, bgp::RelFn rels)\n"
+     "      : owner(nullptr),\n"
+     "        extractor(std::move(ixps), std::move(rels)) {}\n"
+     "  core::PassiveExtractor extractor MLP_GUARDED_BY(mutex);\n"
+     "};\n", True),
+    ("shared-attribution-index", "src/pipeline/x.hpp",
+     "struct Lane {\n"
+     "  Lane(Index attribution, bgp::RelFn rels)\n"
+     "      : owner(nullptr),\n"
+     "        extractor(std::move(attribution), std::move(rels)) {}\n"
+     "  core::PassiveExtractor extractor MLP_GUARDED_BY(mutex);\n"
+     "};\n", False),
+    ("shared-attribution-index", "src/core/x.cpp",
+     "PassiveExtractor extractor(contexts, nullptr);\n", False),  # out of scope
 ]
 
 
