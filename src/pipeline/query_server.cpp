@@ -1,6 +1,7 @@
 #include "pipeline/query_server.hpp"
 
 #include <poll.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -76,12 +77,31 @@ bool wait_readable(int fd, const std::atomic<bool>& stop) {
 
 }  // namespace
 
+void leave_cpu(int cpu) {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (cpu < 0 || cpu >= CPU_SETSIZE ||
+      ::sched_getaffinity(0, sizeof allowed, &allowed) != 0 ||
+      !CPU_ISSET(cpu, &allowed) || CPU_COUNT(&allowed) < 2)
+    return;
+  cpu_set_t others = allowed;
+  CPU_CLR(cpu, &others);
+  // Leaving the CPU is what the first call is for; the second gives the
+  // scheduler every CPU back and does not move the thread.
+  if (::sched_setaffinity(0, sizeof others, &others) == 0)
+    (void)::sched_setaffinity(0, sizeof allowed, &allowed);
+}
+
 QueryServer::QueryServer(const LiveSession& session, Options options)
     : session_(session), max_line_(max_request_line(session)) {
   const stream::TcpListener listener = stream::open_tcp_listener(options.port);
   listener_fd_ = listener.fd;
   port_ = listener.port;
-  thread_ = std::thread([this] { serve(); });
+  const int creator_cpu = ::sched_getcpu();
+  thread_ = std::thread([this, creator_cpu] {
+    leave_cpu(creator_cpu);
+    serve();
+  });
 }
 
 QueryServer::~QueryServer() { stop(); }
