@@ -14,6 +14,7 @@
 
 #include "core/engine_snapshot.hpp"
 #include "pipeline/live_session.hpp"
+#include "pipeline/thread_pool.hpp"
 #include "stream/source.hpp"
 #include "util/errors.hpp"
 
@@ -76,21 +77,6 @@ bool wait_readable(int fd, const std::atomic<bool>& stop) {
 }
 
 }  // namespace
-
-void leave_cpu(int cpu) {
-  cpu_set_t allowed;
-  CPU_ZERO(&allowed);
-  if (cpu < 0 || cpu >= CPU_SETSIZE ||
-      ::sched_getaffinity(0, sizeof allowed, &allowed) != 0 ||
-      !CPU_ISSET(cpu, &allowed) || CPU_COUNT(&allowed) < 2)
-    return;
-  cpu_set_t others = allowed;
-  CPU_CLR(cpu, &others);
-  // Leaving the CPU is what the first call is for; the second gives the
-  // scheduler every CPU back and does not move the thread.
-  if (::sched_setaffinity(0, sizeof others, &others) == 0)
-    (void)::sched_setaffinity(0, sizeof allowed, &allowed);
-}
 
 QueryServer::QueryServer(const LiveSession& session, Options options)
     : session_(session), max_line_(max_request_line(session)) {

@@ -48,18 +48,6 @@ namespace mlp::pipeline {
 
 class LiveSession;
 
-/// Move the calling thread off `cpu` when another CPU is allowed, then
-/// allow every CPU again; the serve thread calls it first, with the CPU
-/// its creator ran on. A new thread starts on its creator's CPU, and on
-/// a host whose cpusets turn scheduler load balancing off it stays there
-/// until contention happens to spread the process: the server would
-/// share a CPU with a local client started by the same thread for as
-/// long as the host's state says, and a round trip would take a
-/// same-CPU switch or a cross-CPU wakeup depending on that state. Best
-/// effort: a negative `cpu` or a failed call leaves the thread where it
-/// is.
-void leave_cpu(int cpu);
-
 /// One accept-loop thread answering queries from published epochs. The
 /// session must outlive the server. Thread-safety: the server itself
 /// holds no mutex -- its shared state is the stop flag and counters

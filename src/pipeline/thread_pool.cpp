@@ -1,15 +1,36 @@
 #include "pipeline/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <utility>
 
 namespace mlp::pipeline {
 
+void leave_cpu(int cpu) {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (cpu < 0 || cpu >= CPU_SETSIZE ||
+      ::sched_getaffinity(0, sizeof allowed, &allowed) != 0 ||
+      !CPU_ISSET(cpu, &allowed) || CPU_COUNT(&allowed) < 2)
+    return;
+  cpu_set_t others = allowed;
+  CPU_CLR(cpu, &others);
+  // Leaving the CPU is what the first call is for; the second gives the
+  // scheduler every CPU back and does not move the thread.
+  if (::sched_setaffinity(0, sizeof others, &others) == 0)
+    (void)::sched_setaffinity(0, sizeof allowed, &allowed);
+}
+
 ThreadPool::ThreadPool(std::size_t threads) {
   threads = std::max<std::size_t>(1, threads);
   workers_.reserve(threads);
+  const int creator_cpu = ::sched_getcpu();
   for (std::size_t i = 0; i < threads; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, creator_cpu] {
+      leave_cpu(creator_cpu);
+      worker_loop();
+    });
 }
 
 ThreadPool::~ThreadPool() {

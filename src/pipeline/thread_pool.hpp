@@ -4,6 +4,9 @@
 // extraction producers before the per-IXP consumers, so producers (which
 // never block) always run ahead of consumers that wait on their output,
 // and the pipeline cannot deadlock even with a single worker thread.
+//
+// Workers start on CPUs other than their creator's (leave_cpu), so they
+// run beside the thread that submits to them from the first task on.
 #pragma once
 
 #include <cstddef>
@@ -16,6 +19,18 @@
 #include "util/annotations.hpp"
 
 namespace mlp::pipeline {
+
+/// Move the calling thread off `cpu` when another CPU is allowed, then
+/// allow every CPU again. Pool workers and the QueryServer's serve
+/// thread call it first, with the CPU their creator ran on. A new thread
+/// starts on its creator's CPU, and on a host whose cpusets turn
+/// scheduler load balancing off it stays there until contention happens
+/// to spread the process: a pool's workers would take turns on one CPU
+/// with the thread that feeds them, and a server would share a CPU with a
+/// local client started by the same thread, for as long as the host's
+/// state says. Best effort: a negative `cpu` or a failed call leaves the
+/// thread where it is.
+void leave_cpu(int cpu);
 
 class ThreadPool {
  public:

@@ -2,6 +2,7 @@
 // ordered queue primitives, IXP-scheme config round-trip, determinism
 // under 1 vs N threads, merged-stats correctness, and edge cases.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <iterator>
@@ -45,6 +46,33 @@ TEST(ThreadPool, FifoStartOrderWithOneWorker) {
   pool.wait_idle();
   ASSERT_EQ(order.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(ThreadPool, LeaveCpuMovesOffTheCpuAndKeepsEveryCpuAllowed) {
+  cpu_set_t before;
+  ASSERT_EQ(::sched_getaffinity(0, sizeof before, &before), 0);
+  if (CPU_COUNT(&before) < 2) GTEST_SKIP() << "one CPU allowed";
+  // In a thread of its own, so the test runner keeps its placement.
+  std::thread([&before] {
+    const int start = ::sched_getcpu();
+    ASSERT_GE(start, 0);
+    leave_cpu(start);
+    EXPECT_NE(::sched_getcpu(), start);
+    cpu_set_t after;
+    ASSERT_EQ(::sched_getaffinity(0, sizeof after, &after), 0);
+    EXPECT_TRUE(CPU_EQUAL(&after, &before));
+  }).join();
+}
+
+TEST(ThreadPool, LeaveCpuIgnoresAnUnknownCpu) {
+  std::thread([] {
+    cpu_set_t before, after;
+    ASSERT_EQ(::sched_getaffinity(0, sizeof before, &before), 0);
+    leave_cpu(-1);
+    leave_cpu(CPU_SETSIZE);
+    ASSERT_EQ(::sched_getaffinity(0, sizeof after, &after), 0);
+    EXPECT_TRUE(CPU_EQUAL(&after, &before));
+  }).join();
 }
 
 TEST(ThreadPool, ResolveDefaults) {

@@ -5,7 +5,6 @@
 // over loopback TCP.
 #include <gtest/gtest.h>
 
-#include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -306,33 +305,6 @@ class QueryClient {
  private:
   int fd_;
 };
-
-TEST(QueryServer, LeaveCpuMovesOffTheCpuAndKeepsEveryCpuAllowed) {
-  cpu_set_t before;
-  ASSERT_EQ(::sched_getaffinity(0, sizeof before, &before), 0);
-  if (CPU_COUNT(&before) < 2) GTEST_SKIP() << "one CPU allowed";
-  // In a thread of its own, so the test runner keeps its placement.
-  std::thread([&before] {
-    const int start = ::sched_getcpu();
-    ASSERT_GE(start, 0);
-    leave_cpu(start);
-    EXPECT_NE(::sched_getcpu(), start);
-    cpu_set_t after;
-    ASSERT_EQ(::sched_getaffinity(0, sizeof after, &after), 0);
-    EXPECT_TRUE(CPU_EQUAL(&after, &before));
-  }).join();
-}
-
-TEST(QueryServer, LeaveCpuIgnoresAnUnknownCpu) {
-  std::thread([] {
-    cpu_set_t before, after;
-    ASSERT_EQ(::sched_getaffinity(0, sizeof before, &before), 0);
-    leave_cpu(-1);
-    leave_cpu(CPU_SETSIZE);
-    ASSERT_EQ(::sched_getaffinity(0, sizeof after, &after), 0);
-    EXPECT_TRUE(CPU_EQUAL(&after, &before));
-  }).join();
-}
 
 TEST(QueryServer, AnswersProtocolOverLoopback) {
   auto s = make_scenario();
