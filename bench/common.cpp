@@ -97,7 +97,8 @@ InferenceRun run_full_inference(scenario::Scenario& s) {
     run.active_queries[i] += result.per_ixp[i].active_queries;
     run.links_per_ixp.push_back(std::move(result.per_ixp[i].links));
   }
-  run.all_links = std::move(result.all_links);
+  // The report analyses take the union as a std::set.
+  run.all_links.insert(result.all_links.begin(), result.all_links.end());
   run.engines = std::move(result.engines);
   return run;
 }

@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark): the hot paths of the pipelines --
 // MRT decode, community classification, export-policy algebra, reciprocity
 // link inference, passive extraction (materialized and streamed), update
-// stream ingest, the end-to-end pipeline, and routing-tree computation.
+// stream ingest, the end-to-end pipeline, the cross-IXP link-set union,
+// and routing-tree computation.
 //
 // The binary replaces the global allocator with a counting wrapper so the
 // extraction benchmarks can report peak live heap growth: the evidence
@@ -9,6 +10,7 @@
 // record vector.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -16,6 +18,7 @@
 #include <new>
 #include <set>
 #include <thread>
+#include <vector>
 
 #if __has_include(<malloc.h>)
 #include <malloc.h>
@@ -1016,6 +1019,51 @@ void BM_PipelineRun(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PipelineRun)->Unit(benchmark::kMillisecond);
+
+/// Per-IXP link sets for the union benchmark, built in ascending order as
+/// infer_links builds them. IXP x draws members[x] RS members from one
+/// shared ASN pool, so IXPs overlap by chance, and keeps each member pair
+/// with probability one half.
+std::vector<pipeline::IxpResult> merge_fixture(
+    const std::vector<std::size_t>& members) {
+  Rng rng(97);
+  std::vector<bgp::Asn> pool;
+  for (bgp::Asn a = 1000; a < 21000; ++a) pool.push_back(a);
+  std::vector<pipeline::IxpResult> per_ixp(members.size());
+  for (std::size_t x = 0; x < members.size(); ++x) {
+    rng.shuffle(pool);
+    std::vector<bgp::Asn> rs(pool.begin(), pool.begin() + members[x]);
+    std::sort(rs.begin(), rs.end());
+    auto& links = per_ixp[x].links;
+    for (std::size_t i = 0; i < rs.size(); ++i)
+      for (std::size_t j = i + 1; j < rs.size(); ++j)
+        if (rng.chance(0.5)) links.emplace_hint(links.end(), rs[i], rs[j]);
+  }
+  return per_ixp;
+}
+
+void BM_MergeLinks(benchmark::State& state) {
+  // Table 2's union of the per-IXP link sets. Two IXPs of about 1.3M
+  // links each is perfbench's live-bigrs shape; the 13 IXPs take the
+  // paper roster's member counts at 2.5x.
+  std::vector<std::size_t> members;
+  if (state.range(0) == 2) {
+    members = {2300, 2300};
+  } else {
+    for (const auto& spec : scenario::paper_ixp_roster())
+      members.push_back(static_cast<std::size_t>(spec.size_weight * 2.5));
+  }
+  const auto per_ixp = merge_fixture(members);
+  std::size_t links = 0;
+  for (const auto& slot : per_ixp) links += slot.links.size();
+  for (auto _ : state)
+    benchmark::DoNotOptimize(pipeline::merge_links(per_ixp).size());
+  state.counters["links_per_s"] = benchmark::Counter(
+      static_cast<double>(links) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+  state.counters["input_links"] = static_cast<double>(links);
+}
+BENCHMARK(BM_MergeLinks)->Arg(2)->Arg(13)->Unit(benchmark::kMillisecond);
 
 void BM_RoutingTree(benchmark::State& state) {
   topology::TopologyParams params;

@@ -663,16 +663,23 @@ LiveResult LiveSession::finish() {
     static_cast<SessionTotals&>(result) = collect_totals_locked();
   }
   result.per_ixp.resize(shards_.size());
+  // One task per shard, as InferencePipeline::run's consumers: every
+  // lane is closed, the pool is idle and feeds_mutex_ stays held, so
+  // each task owns its shard's engine, publish bookkeeping and result
+  // slot alone.
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    // Everything is closed and drained: publish the final epoch so a
-    // query server lingering past finish() answers from exactly the
-    // state this result reports.
-    publish_epoch(i);
-    const core::MlpInferenceEngine& engine = shards_[i]->engine;
-    IxpResult& slot = result.per_ixp[i];
-    slot.name = engine.context().name;
-    fill_ixp_result(slot, engine, config_.assume_open_for_unobserved);
+    pool_.submit([this, i, &result] {
+      // Everything is closed and drained: publish the final epoch so a
+      // query server lingering past finish() answers from exactly the
+      // state this result reports.
+      publish_epoch(i);
+      const core::MlpInferenceEngine& engine = shards_[i]->engine;
+      IxpResult& slot = result.per_ixp[i];
+      slot.name = engine.context().name;
+      fill_ixp_result(slot, engine, config_.assume_open_for_unobserved);
+    });
   }
+  pool_.wait_idle();
   result.all_links = merge_links(result.per_ixp);
   return result;
 }

@@ -238,7 +238,9 @@ struct LiveSnapshot : SessionTotals {
 /// Final product, shaped like the archive pipeline's result.
 struct LiveResult : SessionTotals {
   std::vector<IxpResult> per_ixp;
-  std::set<AsLink> all_links;
+  /// Union of links over every IXP (merge_links): ascending, no
+  /// duplicates.
+  std::vector<AsLink> all_links;
 };
 
 class LiveSession;
@@ -328,7 +330,8 @@ class LiveSession {
   LiveSnapshot snapshot() MLP_EXCLUDES(feeds_mutex_);
 
   /// End of stream: close every remaining feed (announce-window flush,
-  /// in feed order), drain the queues and infer the final link sets.
+  /// in feed order), drain the queues, then infer the final link sets
+  /// on the pool (one task per IXP) and merge their union.
   /// Callable once; feed() afterwards throws.
   LiveResult finish() MLP_EXCLUDES(feeds_mutex_);
 
@@ -466,12 +469,13 @@ class LiveSession {
     std::atomic<bool> pump_scheduled{false};
     /// The published epoch: deliberately the ONE unguarded shared object
     /// of the session. The engine owner (a pump inside its ownership
-    /// window, or a stop-the-world path after pool settle) freezes an
-    /// immutable EngineSnapshot and swaps it in; readers load it
-    /// lock-free and share ownership. No mutex guards it BY DESIGN --
-    /// immutability of the pointee plus the atomic shared_ptr swap IS
-    /// the synchronization, which is what keeps the query path off
-    /// feeds_mutex_ and the lane mutexes entirely.
+    /// window, a stop-the-world path after pool settle, or finish()'s
+    /// task for this shard) freezes an immutable EngineSnapshot and
+    /// swaps it in; readers load it lock-free and share ownership. No
+    /// mutex guards it BY DESIGN -- immutability of the pointee plus the
+    /// atomic shared_ptr swap IS the synchronization, which is what
+    /// keeps the query path off feeds_mutex_ and the lane mutexes
+    /// entirely.
     std::atomic<std::shared_ptr<const core::EngineSnapshot>> published;
     /// Monotone publication counter; serialized into checkpoints so a
     /// resumed session's epochs keep ascending.
@@ -510,8 +514,10 @@ class LiveSession {
   /// Caller must OWN the engine: either this is the shard's pump inside
   /// its ownership window (before pump_scheduled drops), or the world is
   /// settled (all lane mutexes held + pool idle, so no pump runs and
-  /// none can be scheduled). No-ops when the engine generation has not
-  /// moved since the last publish.
+  /// none can be scheduled), or this is finish()'s pool task for the
+  /// shard, submitted after the world settled (every lane closed, pool
+  /// idle, feeds_mutex_ held throughout, one task per shard). No-ops
+  /// when the engine generation has not moved since the last publish.
   void publish_epoch(std::size_t index);
 
   Lane& lane(std::size_t index) MLP_EXCLUDES(feeds_mutex_);

@@ -89,15 +89,38 @@ void fill_ixp_result(IxpResult& slot,
   slot.rejected_observations = engine.rejected_observations();
 }
 
-std::set<AsLink> merge_links(const std::vector<IxpResult>& per_ixp) {
+std::vector<AsLink> merge_links(const std::vector<IxpResult>& per_ixp) {
+  std::size_t total = 0;
+  for (const IxpResult& slot : per_ixp) total += slot.links.size();
   std::vector<AsLink> merged;
-  for (const IxpResult& slot : per_ixp)
+  merged.reserve(total);
+  // Run r of the concatenation is [bounds[r], bounds[r + 1]).
+  std::vector<std::size_t> bounds{0};
+  for (const IxpResult& slot : per_ixp) {
+    if (slot.links.empty()) continue;
     merged.insert(merged.end(), slot.links.begin(), slot.links.end());
-  std::sort(merged.begin(), merged.end());
+    bounds.push_back(merged.size());
+  }
+  const auto at = [&merged](std::size_t offset) {
+    return merged.begin() + static_cast<std::ptrdiff_t>(offset);
+  };
+  // Merge adjacent runs pairwise until one is left; an odd last run
+  // carries over to the next round as is.
+  while (bounds.size() > 2) {
+    std::vector<std::size_t> next{0};
+    for (std::size_t r = 0; r + 1 < bounds.size(); r += 2) {
+      if (r + 2 < bounds.size()) {
+        std::inplace_merge(at(bounds[r]), at(bounds[r + 1]),
+                           at(bounds[r + 2]));
+        next.push_back(bounds[r + 2]);
+      } else {
+        next.push_back(bounds[r + 1]);
+      }
+    }
+    bounds = std::move(next);
+  }
   merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-  std::set<AsLink> out;
-  for (const AsLink& link : merged) out.insert(out.end(), link);
-  return out;
+  return merged;
 }
 
 namespace {

@@ -93,9 +93,11 @@ void fill_ixp_result(IxpResult& slot,
                      const core::MlpInferenceEngine& engine,
                      bool assume_open_for_unobserved);
 
-/// Union the per-IXP link sets through one sort+unique pass plus hinted
-/// tail inserts (cheaper than set-inserting every element).
-std::set<AsLink> merge_links(const std::vector<IxpResult>& per_ixp);
+/// Union of the per-IXP link sets, ascending with no duplicates. Every
+/// set is already ascending, so the union merges them as sorted runs
+/// (adjacent runs pairwise, O(links * log IXPs)) and drops the repeats:
+/// no comparison sort and no node set.
+std::vector<AsLink> merge_links(const std::vector<IxpResult>& per_ixp);
 
 struct PipelineResult {
   std::vector<IxpResult> per_ixp;
@@ -103,8 +105,9 @@ struct PipelineResult {
   /// aligned with per_ixp. Empty when PipelineConfig::keep_engines is
   /// false.
   std::vector<core::MlpInferenceEngine> engines;
-  /// Union of links over every IXP.
-  std::set<AsLink> all_links;
+  /// Union of links over every IXP (merge_links): ascending, no
+  /// duplicates.
+  std::vector<AsLink> all_links;
   /// Passive stats merged over all extraction sources.
   core::PassiveStats passive;
   /// Engine stats summed over all IXPs.

@@ -209,7 +209,7 @@ TEST(CheckpointFile, FallsBackOneGenerationOnCorruption) {
 
 struct RunResult {
   std::vector<std::set<bgp::AsLink>> links;
-  std::set<bgp::AsLink> all_links;
+  std::vector<bgp::AsLink> all_links;
   std::size_t paths_seen = 0;
   std::size_t observations = 0;
   std::uint64_t records = 0;

@@ -451,7 +451,8 @@ TEST(Pipeline, MergedStatsMatchSequentialExtraction) {
   EXPECT_EQ(result.totals.observations, sum.observations);
   EXPECT_EQ(result.totals.observed_members, sum.observed_members);
   EXPECT_EQ(result.totals.links, sum.links);
-  EXPECT_EQ(result.all_links, all);
+  EXPECT_EQ(result.all_links,
+            std::vector<bgp::AsLink>(all.begin(), all.end()));
 }
 
 TEST(Pipeline, BatchSizeDoesNotChangeResults) {

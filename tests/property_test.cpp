@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 
 #include "bgp/rib.hpp"
@@ -11,6 +12,7 @@
 #include "core/engine.hpp"
 #include "core/passive.hpp"
 #include "mrt/table_dump.hpp"
+#include "pipeline/pipeline.hpp"
 #include "propagation/routing.hpp"
 #include "routeserver/route_server.hpp"
 #include "topology/generator.hpp"
@@ -616,6 +618,60 @@ TEST_P(SeededProperty, AttributionIndexMatchesPerIxpLoop) {
         EXPECT_EQ(got.communities, want.communities)
             << n << " IXPs, IXP " << i;
       }
+    }
+  }
+}
+
+// ---- The cross-IXP link union equals concatenate + sort + unique.
+
+TEST_P(SeededProperty, MergeLinksMatchesSortUniqueReference) {
+  Rng rng(GetParam() ^ 0x3e96e);
+  constexpr bgp::Asn kTop = std::numeric_limits<bgp::Asn>::max();
+  // A small ASN space plus both extremes: IXPs share many links.
+  const auto draw_asn = [&rng]() -> bgp::Asn {
+    switch (rng.uniform(0, 9)) {
+      case 0:
+        return 0;
+      case 1:
+        return kTop;
+      default:
+        return static_cast<bgp::Asn>(rng.uniform(1, 60));
+    }
+  };
+  // An odd k leaves a run unpaired in some merge round.
+  for (const std::size_t k : {0, 1, 2, 3, 13}) {
+    for (int round = 0; round < 8; ++round) {
+      std::vector<pipeline::IxpResult> per_ixp(k);
+      // Round 0 leaves every odd slot empty (gaps between runs), round 1
+      // gives every slot the same set, and later rounds mix empty slots,
+      // copies of the previous slot and fresh draws.
+      for (std::size_t i = 0; i < k; ++i) {
+        auto& links = per_ixp[i].links;
+        if (round == 0 && i % 2 == 1) continue;
+        if (round > 1 && rng.chance(0.25)) continue;
+        if (i > 0 && (round == 1 || (round > 1 && rng.chance(0.2)))) {
+          links = per_ixp[round == 1 ? 0 : i - 1].links;
+          continue;
+        }
+        const std::size_t n = rng.uniform(1, rng.chance(0.2) ? 400 : 40);
+        for (std::size_t j = 0; j < n; ++j)
+          links.emplace(draw_asn(), draw_asn());
+      }
+      std::vector<bgp::AsLink> want;
+      for (const auto& slot : per_ixp)
+        want.insert(want.end(), slot.links.begin(), slot.links.end());
+      std::sort(want.begin(), want.end());
+      want.erase(std::unique(want.begin(), want.end()), want.end());
+
+      const std::vector<bgp::AsLink> got = pipeline::merge_links(per_ixp);
+      EXPECT_EQ(got, want) << k << " IXPs, round " << round;
+      EXPECT_EQ(std::adjacent_find(got.begin(), got.end(),
+                                   [](const bgp::AsLink& a,
+                                      const bgp::AsLink& b) {
+                                     return !(a < b);
+                                   }),
+                got.end())
+          << k << " IXPs, round " << round;
     }
   }
 }

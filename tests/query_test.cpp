@@ -349,8 +349,10 @@ TEST(QueryServer, AnswersProtocolOverLoopback) {
                 "ok true");
       const auto partners = epoch_snap->links_of(link.a);
       std::string expected = "ok " + std::to_string(partners.size());
-      for (const auto partner : partners)
-        expected += " " + std::to_string(partner);
+      for (const auto partner : partners) {
+        expected += ' ';
+        expected += std::to_string(partner);
+      }
       EXPECT_EQ(client.ask("links " + name + " " +
                            std::to_string(link.a)),
                 expected);
